@@ -260,3 +260,12 @@ def test_compare_solver_route_agrees(prec):
     report = compare(fam, fam, prec, use_solver=True, solver_N=8, word_len=40)
     assert report.verdict == "possibly-equivalent"
     assert (report.shift.s, report.shift.p) == (0, 0)
+    assert (report.checked_depth, report.undecided) == (8, 0)
+    # the tabulated sequences end, so the words stop short of word_len
+    assert report.margins["word_overlap"] == 16
+    marked = compare(fam, re_mark(fam, 1, 1, prec), prec,
+                     use_solver=True, solver_N=8, word_len=40)
+    assert marked.verdict == "possibly-equivalent"
+    assert (marked.shift.s, marked.shift.p) == (1, 0)
+    assert (marked.checked_depth, marked.undecided) == (8, 0)
+    assert marked.margins["word_overlap"] == 15

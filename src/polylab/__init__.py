@@ -52,7 +52,6 @@ from .connections import (
     AsymptoticModel,
     ConnectionProblem,
     ConnectionSequence,
-    SolverConfig,
     asymptotic_model,
     beta,
     bracket_double_logs,

@@ -83,9 +83,12 @@ def _num(doc: Dict[str, Any], key: str):
     if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise InvalidInputError(f"field {key!r} must be a number or decimal string, got {v!r}")
     try:
-        return mpf(v)
+        x = mpf(v)
     except Exception:
         raise InvalidInputError(f"field {key!r} is not a valid number: {v!r}") from None
+    if not mp.isfinite(x):
+        raise InvalidInputError(f"field {key!r} must be finite, got {v!r}")
+    return x
 
 
 def _require(doc, fields, what: str):

@@ -27,7 +27,7 @@ from .errors import (
     ModelViolationError,
 )
 from .monodromy import PerturbedPowerFamily
-from .numerics import DoubleLogValue, Precision
+from .numerics import DoubleLogValue, Precision, _differences
 
 
 def beta(C, nu, B, prec: Precision):
@@ -128,11 +128,10 @@ class ConnectionSequence:
         return [e.z for e in self.entries]
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    tol_w: Optional[Any] = None       # None: use prec.tol
-    bracket_radius: Any = 1
-    max_doublings: int = 60
+# Half-width of the first bracket around the model prediction, and the
+# number of times it may double before the solve gives up.
+_BRACKET_RADIUS = 1
+_MAX_DOUBLINGS = 60
 
 
 def _orbit_gap_fn(prob: ConnectionProblem, n: int, prec: Precision) -> Callable[[Any], Any]:
@@ -192,14 +191,14 @@ def _orbit_gap_fn(prob: ConnectionProblem, n: int, prec: Precision) -> Callable[
     return gap
 
 
-def _bisect_connection(prob: ConnectionProblem, n: int, prec: Precision, cfg: SolverConfig):
-    """Returns (w_root, final_bracket_width)."""
+def _bisect_connection(prob: ConnectionProblem, n: int, prec: Precision):
+    """Returns (w_root, final_bracket_width); bisects down to prec.tol."""
     with prec.work():
         model = asymptotic_model(prob, prec)
         center = model.predict(n, prec)
-        tol = mpf(cfg.tol_w) if cfg.tol_w is not None else mpf(prec.tol)
+        tol = mpf(prec.tol)
         gap = _orbit_gap_fn(prob, n, prec)
-        r = mpf(cfg.bracket_radius)
+        r = mpf(_BRACKET_RADIUS)
         lo, hi = center - r, center + r
         glo, ghi = gap(lo), gap(hi)
         if glo > 0 and ghi < 0:
@@ -209,9 +208,9 @@ def _bisect_connection(prob: ConnectionProblem, n: int, prec: Precision, cfg: So
             )
         doublings = 0
         while not (glo <= 0 <= ghi):
-            if doublings >= cfg.max_doublings:
+            if doublings >= _MAX_DOUBLINGS:
                 raise BracketError(
-                    f"no sign change after {cfg.max_doublings} doublings at n = {n}"
+                    f"no sign change after {_MAX_DOUBLINGS} doublings at n = {n}"
                 )
             r *= 2
             if glo > 0:               # root lies to the left
@@ -234,9 +233,7 @@ def _bisect_connection(prob: ConnectionProblem, n: int, prec: Precision, cfg: So
         return (lo + hi) / 2, hi - lo
 
 
-def solve_connection(
-    prob: ConnectionProblem, n: int, prec: Precision, cfg: Optional[SolverConfig] = None
-) -> DoubleLogValue:
+def solve_connection(prob: ConnectionProblem, n: int, prec: Precision) -> DoubleLogValue:
     """Solve the n-th connection equation; returns z_n = ln(-ln eps_n).
 
     The equation f_eps^(n+1)(0) = B(eps) is solved as
@@ -246,21 +243,18 @@ def solve_connection(
     """
     if n < 0:
         raise InvalidInputError(f"index must be >= 0, got {n}")
-    w, _ = _bisect_connection(prob, n, prec, cfg or SolverConfig())
+    w, _ = _bisect_connection(prob, n, prec)
     return DoubleLogValue(w)
 
 
-def generate_sequence(
-    prob: ConnectionProblem, N: int, prec: Precision, cfg: Optional[SolverConfig] = None
-) -> ConnectionSequence:
+def generate_sequence(prob: ConnectionProblem, N: int, prec: Precision) -> ConnectionSequence:
     """Solve for n = 0..N; the resulting z_n must be strictly increasing."""
     if N < 0:
         raise InvalidInputError(f"N must be >= 0, got {N}")
-    cfg = cfg or SolverConfig()
     entries = []
     prev = None
     for n in range(N + 1):
-        w, width = _bisect_connection(prob, n, prec, cfg)
+        w, width = _bisect_connection(prob, n, prec)
         if prev is not None and not (w > prev):
             raise ModelViolationError(f"z_{n} = {w} does not exceed z_{n-1} = {prev}")
         prev = w
@@ -386,8 +380,7 @@ def recover_parameters(seq: ConnectionSequence, prec: Precision) -> RecoveryRepo
         if any(ns[i + 1] - ns[i] != 1 for i in range(len(ns) - 1)):
             raise InvalidInputError("entries must have consecutive indices")
         zs = [mpf(e.z) for e in seq.entries]
-        d1 = [zs[i + 1] - zs[i] for i in range(len(zs) - 1)]
-        d2 = [d1[i + 1] - d1[i] for i in range(len(d1) - 1)]
+        d1, d2 = _differences(zs)
         zmax = max(abs(z) for z in zs)
         floor = 16 * (max(mpf(e.bracket_width) for e in seq.entries) + zmax * mpf(2) ** (4 - prec.bits))
 

@@ -190,15 +190,6 @@ def _deviation(fam: PerturbedPowerFamily, eps, x, L0, prec: Precision):
         return abs(mpf(fam.C) * mp.expm1(lnratio))
 
 
-def _grid_points(eps, x0, count, halved, prec: Precision):
-    with prec.work():
-        lower = mpf(eps) / 2 if halved else mpf(eps)
-        if lower >= mpf(x0):
-            raise InvalidInputError(f"eps = {mpf(eps)} leaves empty domain below x0 = {mpf(x0)}")
-        llo, lhi = mp.log(lower), mp.log(mpf(x0))
-        return [mp.exp(llo + (lhi - llo) * mpf(j + 1) / (count + 1)) for j in range(count)]
-
-
 def sandwich_check(
     fam: PerturbedPowerFamily,
     bounds: SandwichBounds,
@@ -209,29 +200,20 @@ def sandwich_check(
 
     Reports the worst signed violation (negative means the bound held
     with room to spare) and the empirical minimal k for this grid.
+    Both are monotone in the deviation, so each eps's k_hat decides them.
     """
+    profile = envelope_profile(fam, grid.eps_values, bounds.x0, prec,
+                               grid.x_count, grid.halved_domain)
     with prec.work():
         L0 = mpf(fam.Lambda0)
         k = to_mpf(bounds.k, prec)
-        worst = mp.ninf
-        worst_norm = mp.ninf
-        emp_k = mpf(0)
-        for eps in grid.eps_values:
-            ev = to_mpf(eps, prec)
-            if not (0 < ev < mpf(bounds.x0)):
-                raise InvalidInputError(f"eps = {ev} outside (0, x0)")
-            scale = ev ** (1 - L0)
-            allowance = k * scale
-            for x in _grid_points(ev, bounds.x0, grid.x_count, grid.halved_domain, prec):
-                dev = _deviation(fam, ev, x, L0, prec)
-                worst = max(worst, dev - allowance)
-                worst_norm = max(worst_norm, (dev - allowance) / allowance)
-                emp_k = max(emp_k, dev / scale)
+        allowances = [k * ev ** (1 - L0) for ev, _, _ in profile]
+        excess = [khat - a for (_, khat, _), a in zip(profile, allowances)]
         return SandwichReport(
-            passed=bool(worst < 0),
-            max_violation=worst,
-            max_normalized_violation=worst_norm,
-            empirical_k=emp_k,
+            passed=bool(max(excess) < 0),
+            max_violation=max(excess),
+            max_normalized_violation=max(e / a for e, a in zip(excess, allowances)),
+            empirical_k=max(k_norm for _, _, k_norm in profile),
         )
 
 
@@ -255,8 +237,10 @@ def envelope_profile(
             ev = to_mpf(eps, prec)
             if not (0 < ev < mpf(x0)):
                 raise InvalidInputError(f"eps = {ev} outside (0, x0)")
+            llo, lhi = mp.log(ev / 2 if halved_domain else ev), mp.log(mpf(x0))
             khat = mpf(0)
-            for x in _grid_points(ev, x0, x_count, halved_domain, prec):
+            for j in range(x_count):
+                x = mp.exp(llo + (lhi - llo) * mpf(j + 1) / (x_count + 1))
                 khat = max(khat, _deviation(fam, ev, x, L0, prec))
             out.append((ev, khat, khat / ev ** (1 - L0)))
     return out

@@ -170,6 +170,7 @@ def from_double_log(z: DoubleLogValue, prec: Precision) -> LogValue:
             return LogValue(mp.exp(mpf(z.z)))
 
 
-def close(a, b, tol) -> bool:
-    """Absolute-or-relative comparison used by verdicts and self-checks."""
-    return abs(a - b) <= tol * max(1, abs(a), abs(b))
+def _differences(values):
+    """First and second differences; those of step*n + free + coeff*base^n are geometric."""
+    d1 = [b - a for a, b in zip(values, values[1:])]
+    return d1, [b - a for a, b in zip(d1, d1[1:])]

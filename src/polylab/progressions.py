@@ -17,7 +17,7 @@ large indices but pins finer invariants.
 
 from dataclasses import dataclass, field
 from statistics import median
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 import numpy as np
 from mpmath import mp, mpf
@@ -30,51 +30,37 @@ from .errors import (
     ReconstructionError,
     TieError,
 )
-from .numerics import Precision
-
-
-@dataclass(frozen=True)
-class ArithmeticProgression:
-    """x_n = step * n + free for n >= 1, step > 0."""
-
-    step: Any
-    free: Any
-
-    def __post_init__(self):
-        if not (mpf(self.step) > 0):
-            raise InvalidInputError(f"step must be positive, got {self.step}")
-
-    def value(self, n: int, prec: Precision):
-        if n < 1:
-            raise InvalidInputError(f"index must be >= 1, got {n}")
-        with prec.work():
-            return mpf(self.step) * n + mpf(self.free)
+from .numerics import Precision, _differences
 
 
 @dataclass(frozen=True)
 class PerturbedProgression:
-    """x_n = step * n + free + coeff * base^n + remainder(n), remainder = o(base^n)."""
+    """x_n = step * n + free + coeff * base^n for n >= 1; coeff = 0 is arithmetic."""
 
     step: Any
     free: Any
     coeff: Any = 0
     base: Any = "0.5"
-    remainder: Optional[Callable[[int], Any]] = None
+    _geometric: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (mpf(self.step) > 0):
             raise InvalidInputError(f"step must be positive, got {self.step}")
         if not (0 < mpf(self.base) < 1):
             raise InvalidInputError(f"base must lie in (0, 1), got {self.base}")
+        object.__setattr__(self, "_geometric", mpf(self.coeff) != 0)
 
     def value(self, n: int, prec: Precision):
         if n < 1:
             raise InvalidInputError(f"index must be >= 1, got {n}")
         with prec.work():
-            v = mpf(self.step) * n + mpf(self.free) + mpf(self.coeff) * mpf(self.base) ** n
-            if self.remainder is not None:
-                v += mpf(self.remainder(n))
+            v = mpf(self.step) * n + mpf(self.free)
+            if self._geometric:
+                v += mpf(self.coeff) * mpf(self.base) ** n
             return v
+
+
+ArithmeticProgression = PerturbedProgression
 
 
 @dataclass(frozen=True)
@@ -103,6 +89,24 @@ class SearchBounds:
     p_max: int = 64
     tol: Optional[Any] = None
 
+    def __post_init__(self):
+        if self.s_max < 0 or self.p_max < 0:
+            raise InvalidInputError(
+                f"shift bounds must be >= 0, got s_max = {self.s_max}, p_max = {self.p_max}"
+            )
+
+
+def _densities_differ(A1, A2, tol) -> bool:
+    return abs(A1 - A2) > tol * max(1, abs(A1), abs(A2))
+
+
+def _offset_lattice(dtau, A, s_max: int) -> Iterator[Tuple[int, int, Any]]:
+    """(s, p, |dtau - A s - p|) with p the nearest integer, for |s| <= s_max."""
+    for s in range(-s_max, s_max + 1):
+        r = dtau - A * s
+        p = int(mp.nint(r))
+        yield s, p, abs(r - p)
+
 
 def equivalent_pairs(
     inv1: PairInvariants,
@@ -122,19 +126,15 @@ def equivalent_pairs(
     with prec.work():
         tol = mpf(bounds.tol) if bounds.tol is not None else mpf(prec.tol)
         A1, A2 = mpf(inv1.A), mpf(inv2.A)
-        if abs(A1 - A2) > tol * max(1, abs(A1), abs(A2)):
+        if _densities_differ(A1, A2, tol):
             return None
         A = (A1 + A2) / 2
         dtau = mpf(inv1.tau) - mpf(inv2.tau)
-        matches: List[ShiftPair] = []
-        for s in range(-bounds.s_max, bounds.s_max + 1):
-            r = dtau - A * s
-            p = int(mp.nint(r))
-            if abs(p) > bounds.p_max:
-                continue
-            resid = abs(r - p)
-            if resid < tol:
-                matches.append(ShiftPair(s=s, p=p, residual=resid))
+        matches = [
+            ShiftPair(s=s, p=p, residual=resid)
+            for s, p, resid in _offset_lattice(dtau, A, bounds.s_max)
+            if abs(p) <= bounds.p_max and resid < tol
+        ]
         if not matches:
             return None
         if len(matches) > 1:
@@ -355,9 +355,7 @@ def estimate_base(values, prec: Precision):
     if len(values) < 6:
         raise InvalidInputError(f"need at least 6 values, got {len(values)}")
     with prec.work():
-        vs = [mpf(v) for v in values]
-        d1 = [vs[i + 1] - vs[i] for i in range(len(vs) - 1)]
-        d2 = [d1[i + 1] - d1[i] for i in range(len(d1) - 1)]
+        _, d2 = _differences([mpf(v) for v in values])
         if all(x == 0 for x in d2):
             raise FitFailureError("no geometric correction present (second differences vanish)")
         ratios = [d2[i + 1] / d2[i] for i in range(len(d2) - 1) if d2[i] != 0]

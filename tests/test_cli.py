@@ -273,3 +273,20 @@ def test_non_numeric_field_exit_2(tmp_path, capsys):
     path = jfile(tmp_path, "fam.json", dict(EXAMPLE, C1=True))
     code, _, err = run(capsys, "invariants", path)
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_field_exit_2(tmp_path, capsys, value):
+    path = jfile(tmp_path, "fam.json", dict(EXAMPLE, C1=value))
+    code, out, err = run(capsys, "invariants", path)
+    assert code == 2 and out == ""
+    assert "finite" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("flag, value", [("--depth", "-5"), ("--depth", "0"),
+                                         ("--max-shift", "-1")])
+def test_compare_rejects_bad_search_arguments_exit_2(tmp_path, capsys, flag, value):
+    path = jfile(tmp_path, "fam.json", EXAMPLE)
+    code, out, err = run(capsys, "compare", path, path, flag, value)
+    assert code == 2 and out == ""
+    assert json.loads(err)["exit_code"] == 2

@@ -255,6 +255,15 @@ def test_engineer_rejects_tiny_index(prec):
         engineer_base_mismatch(example_family(), "0.55", 3, prec)
 
 
+def test_engineer_diverging_offset_raises_solver_error(prec):
+    # On this family the offset iteration runs ln a1 = 1.0, 2.6, 10.4, 827, ...
+    fam = HeartFamily(lam="0.7887600743819048", mu="4.971476089735281",
+                      C1="0.2038385795129057", C2="0.36295935571212634",
+                      B1="0.000209060904088355", B2="0.0525513611809926")
+    with pytest.raises(SolverError, match="diverged"):
+        engineer_base_mismatch(fam, "0.896802038895181", 24, prec)
+
+
 def test_compare_solver_route_agrees(prec):
     fam = example_family()
     report = compare(fam, fam, prec, use_solver=True, solver_N=8, word_len=40)

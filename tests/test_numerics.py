@@ -17,7 +17,7 @@ from polylab import (
     neg_log_add,
     to_double_log,
 )
-from polylab.numerics import DEFAULT_BITS, close, default_bits
+from polylab.numerics import DEFAULT_BITS, default_bits
 
 
 def test_precision_defaults(prec):
@@ -141,12 +141,6 @@ def test_eps_chart_validation(prec):
     with prec.work():
         z = DoubleLogValue.from_eps(mpf("0.01"), prec)
         assert abs(z.to_eps(prec) - mpf("0.01")) < mpf(2) ** -240
-
-
-def test_close_mixes_absolute_and_relative():
-    assert close(mpf(1e-40), mpf(0), mpf(1e-30))
-    assert close(mpf(1e20) * (1 + mpf(1e-31)), mpf(1e20), mpf(1e-30))
-    assert not close(mpf(1), mpf(2), mpf(1e-30))
 
 
 @given(a=st.floats(min_value=-80, max_value=80, allow_nan=False),

@@ -50,8 +50,8 @@ class Precision:
             raise InvalidInputError(f"precision must be >= {MIN_BITS} bits, got {self.bits}")
         if self.tol is None:
             object.__setattr__(self, "tol", mpf(2) ** (-(self.bits // 2)))
-        elif not (self.tol > 0):
-            raise InvalidInputError("tol must be positive")
+        elif not (0 < self.tol < mp.inf):
+            raise InvalidInputError("tol must be positive and finite")
 
     def work(self):
         """Context manager setting the mpmath working precision."""

@@ -284,8 +284,8 @@ def test_non_finite_field_exit_2(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize("flag, value", [("--depth", "-5"), ("--depth", "0"),
-                                         ("--max-shift", "-1")])
-def test_compare_rejects_bad_search_arguments_exit_2(tmp_path, capsys, flag, value):
+                                         ("--max-shift", "-1"), ("--tol", "inf")])
+def test_compare_rejects_bad_arguments_exit_2(tmp_path, capsys, flag, value):
     path = jfile(tmp_path, "fam.json", EXAMPLE)
     code, out, err = run(capsys, "compare", path, path, flag, value)
     assert code == 2 and out == ""

@@ -32,8 +32,9 @@ def test_precision_rejects_tiny_mantissa():
 
 
 def test_precision_rejects_bad_tol():
-    with pytest.raises(InvalidInputError):
-        Precision(bits=128, tol=-1)
+    for tol in (-1, mp.inf, mp.nan):
+        with pytest.raises(InvalidInputError):
+            Precision(bits=128, tol=tol)
 
 
 def test_env_override(monkeypatch):

@@ -9,9 +9,13 @@ from polylab import (
     AsymptoticModel,
     ConnectionProblem,
     DomainError,
+    DoubleLogValue,
     FitFailureError,
     InvalidInputError,
+    LogValue,
+    ModelViolationError,
     PerturbedPowerFamily,
+    apply_family_log,
     asymptotic_model,
     beta,
     bracket_double_logs,
@@ -225,3 +229,55 @@ def test_closed_form_brackets_straddle(prec):
                 assert lo < z.z < hi
             if n <= 6:
                 assert min(z.z - lo, hi - z.z) > mpf("1e-20")
+
+
+# z_0..z_10 at 256 bits for C = 2, Lambda = 0.6 + 0.2 eps, B = 0.1 + 0.05 eps
+# and psi(u, eps) = u/4 + eps/3, as solved when this test was added.
+PSI_Z_REF = (
+    "0.8269493255475794490673075212394932551503921538612896183274849162836158",
+    "1.626646725505402534391829602687327286892825657186318087888945278133409",
+    "2.250964496952705678432802676543191220441974162962916535915488851570022",
+    "2.830312108806256963053611489189075930205543665098134975712944308188794",
+    "3.381161106865721116920050405624550087127458812034824262070939475869548",
+    "3.915285484494437220040508890053134202099232697484044264664491130334772",
+    "4.4398343027189241054044711338685795454165577847883656218702049044705",
+    "4.958804346904106904965339777825356984603301749686806558111022217119619",
+    "5.474484972741196564989083458270631072421831159232632844433694131047777",
+    "5.988212323780543365758138077435266384732947226909335222225537272692752",
+    "6.500774950881538349971038896116848476598696554082614179969100614064885",
+)
+
+
+def psi_problem(psi) -> ConnectionProblem:
+    return ConnectionProblem(
+        family=PerturbedPowerFamily(C=2, Lambda0="0.6", Lambda1="0.2", psi=psi),
+        B0="0.1", B1="0.05",
+    )
+
+
+def test_psi_family_sequence_pinned_and_bracketed(prec):
+    # The psi branch of the solver: its z_n are pinned, and each one is
+    # straddled by the residual of n + 1 public family steps from x = 0.
+    prob = psi_problem(lambda u, eps: u / 4 + eps / 3)
+    seq = generate_sequence(prob, 10, prec)
+    with prec.work():
+        assert tuple(mp.nstr(z, 70) for z in seq.z_values()) == PSI_Z_REF
+
+        def residual(w):
+            eps_z = DoubleLogValue(w)
+            eps = eps_z.to_eps(prec)
+            y = LogValue(mp.inf)
+            for _ in range(e.n + 1):
+                y = apply_family_log(prob.family, eps_z, y, prec)
+            return y.y + mp.log(mpf(prob.B0) + mpf(prob.B1) * eps)
+
+        for e in seq.entries:
+            assert residual(e.z - prec.tol) < 0 < residual(e.z + prec.tol)
+
+
+def test_psi_at_or_below_minus_one_is_a_model_violation(prec):
+    prob = psi_problem(lambda u, eps: u - 1)
+    with pytest.raises(ModelViolationError):
+        solve_connection(prob, 3, prec)
+    with pytest.raises(ModelViolationError):
+        apply_family_log(prob.family, DoubleLogValue(1), LogValue(mp.inf), prec)

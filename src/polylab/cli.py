@@ -27,7 +27,7 @@ from .errors import (
 )
 from .monodromy import PerturbedPowerFamily
 from .numerics import Precision, default_bits
-from .progressions import SearchBounds
+from .progressions import MAX_SHIFT, SearchBounds
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -209,15 +209,8 @@ def cmd_sparkle(args, prec: Precision) -> int:
     lines = ["# " + json.dumps(_jsonable(_config(args, prec, terms=args.terms), bits),
                                sort_keys=True)]
     lines.append("n,z_n,predicted,residual,normalized_residual")
-    with prec.work():
-        L = mpf(model.Lambda)
-        for e in seq.entries:
-            pred = model.predict(e.n, prec)
-            resid = e.z - pred
-            lines.append(",".join([
-                str(e.n), _fmt(e.z, bits), _fmt(pred, bits),
-                _fmt(resid, bits), _fmt(resid / L ** e.n, bits),
-            ]))
+    for e, pred, resid, norm in conn._residual_rows(seq, model, prec):
+        lines.append(",".join([str(e.n)] + [_fmt(v, bits) for v in (e.z, pred, resid, norm)]))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -327,7 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="topological-equivalence obstructions for two families")
     p.add_argument("family1")
     p.add_argument("family2")
-    p.add_argument("--max-shift", type=int, default=64, help="shift search box")
+    p.add_argument("--max-shift", type=int, default=64,
+                   help=f"shift search box |s|, |p| <= this, at most {MAX_SHIFT}")
     p.add_argument("--depth", type=int, default=10 ** 4, help="good-pair scan depth")
     p.set_defaults(func=cmd_compare)
 

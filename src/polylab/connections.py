@@ -26,8 +26,24 @@ from .errors import (
     InvalidInputError,
     ModelViolationError,
 )
-from .monodromy import PerturbedPowerFamily
-from .numerics import DoubleLogValue, Precision, _differences
+from .monodromy import PerturbedPowerFamily, _step_log
+from .numerics import DoubleLogValue, Precision, _absorb_cap, _differences
+
+
+def _mark_terms(C, nu, B, name: str = "B"):
+    """(t, a) = (ln C/(1 - nu), t - ln B) at the working precision: beta = ln a and
+    theta = -t/a.  nu == 1 is degenerate, and a <= 0 means the mark is inadmissible."""
+    Cv, nuv, Bv = mpf(C), mpf(nu), mpf(B)
+    if nuv == 1:
+        raise DegenerateExponentError("ln C/(1-nu) undefined for nu == 1")
+    if Cv <= 0 or Bv <= 0:
+        raise DomainError(f"mark argument needs C > 0 and {name} > 0")
+    t = mp.log(Cv) / (1 - nuv)
+    a = t - mp.log(Bv)
+    if a <= 0:
+        raise DomainError(f"mark {name} is inadmissible (ln C/(1-nu) - ln {name} = {a} <= 0); "
+                          "move it toward the polycycle, e.g. with re_mark")
+    return t, a
 
 
 def beta(C, nu, B, prec: Precision):
@@ -36,17 +52,7 @@ def beta(C, nu, B, prec: Precision):
     Defined when the argument is positive; nu == 1 is degenerate.
     """
     with prec.work():
-        Cv, nuv, Bv = mpf(C), mpf(nu), mpf(B)
-        if nuv == 1:
-            raise DegenerateExponentError("beta undefined for nu == 1")
-        if Cv <= 0 or Bv <= 0:
-            raise DomainError("beta needs C > 0 and B > 0")
-        arg = mp.log(Cv) / (1 - nuv) - mp.log(Bv)
-        if arg <= 0:
-            raise DomainError(
-                f"ln C/(1-nu) - ln B = {arg} <= 0: mark B inadmissible for these constants"
-            )
-        return mp.log(arg)
+        return mp.log(_mark_terms(C, nu, B)[1])
 
 
 def theta(C, Lambda, B, prec: Precision):
@@ -56,16 +62,8 @@ def theta(C, Lambda, B, prec: Precision):
     -exp(-beta) * ln C/(1-L).  C = 1 gives theta = 0.
     """
     with prec.work():
-        Cv, Lv, Bv = mpf(C), mpf(Lambda), mpf(B)
-        if Lv == 1:
-            raise DegenerateExponentError("theta undefined for Lambda == 1")
-        if Cv <= 0 or Bv <= 0:
-            raise DomainError("theta needs C > 0 and B > 0")
-        t = mp.log(Cv) / (1 - Lv)
-        arg = t - mp.log(Bv)
-        if arg <= 0:
-            raise DomainError(f"ln C/(1-L) - ln B = {arg} <= 0")
-        return -t / arg
+        t, a = _mark_terms(C, Lambda, B)
+        return -t / a
 
 
 @dataclass(frozen=True)
@@ -103,11 +101,8 @@ def asymptotic_model(prob: ConnectionProblem, prec: Precision) -> AsymptoticMode
     """Model induced by the frozen constants (C, Lambda(0), B(0))."""
     fam = prob.family
     with prec.work():
-        return AsymptoticModel(
-            Lambda=mpf(fam.Lambda0),
-            beta=beta(fam.C, fam.Lambda0, prob.B0, prec),
-            theta=theta(fam.C, fam.Lambda0, prob.B0, prec),
-        )
+        t, a = _mark_terms(fam.C, fam.Lambda0, prob.B0)
+        return AsymptoticModel(Lambda=mpf(fam.Lambda0), beta=mp.log(a), theta=-t / a)
 
 
 @dataclass(frozen=True)
@@ -144,8 +139,7 @@ def _orbit_gap_fn(prob: ConnectionProblem, n: int, prec: Precision) -> Callable[
     lnC = mp.log(mpf(fam.C))
     L0, L1 = mpf(fam.Lambda0), mpf(fam.Lambda1)
     B0, B1 = mpf(prob.B0), mpf(prob.B1)
-    psi = fam.psi
-    ln2cap = prec.bits * mp.log(2) + 2
+    cap = _absorb_cap(prec)
 
     def gap(w):
         E = mp.exp(w)                 # -ln eps
@@ -156,36 +150,9 @@ def _orbit_gap_fn(prob: ConnectionProblem, n: int, prec: Precision) -> Callable[
         mark = B0 + B1 * eps
         if not (0 < mark < 1):
             raise DomainError(f"B(eps) = {mark} left (0, 1) during solve")
-        if psi is None:
-            y = E
-            for _ in range(n):
-                ya = lam * y - lnC
-                lo, hi2 = (ya, E) if ya <= E else (E, ya)
-                d = hi2 - lo
-                if d > ln2cap:
-                    y = lo
-                else:
-                    with mp.extraprec(16):
-                        y = lo - mp.log(1 + mp.exp(-d))
-        else:
-            p0 = mpf(psi(mpf(0), eps))
-            if p0 <= -1:
-                raise ModelViolationError(f"psi(0, eps) = {p0} <= -1")
-            y = E - mp.log(1 + p0)
-            for _ in range(n):
-                ya = lam * y - lnC
-                u = mp.exp(-lam * y)
-                pv = mpf(psi(u, eps))
-                if pv <= -1:
-                    raise ModelViolationError(f"psi(u, eps) = {pv} <= -1")
-                yb = E - mp.log(1 + pv)
-                lo, hi2 = (ya, yb) if ya <= yb else (yb, ya)
-                d = hi2 - lo
-                if d > ln2cap:
-                    y = lo
-                else:
-                    with mp.extraprec(16):
-                        y = lo - mp.log(1 + mp.exp(-d))
+        y = mp.inf                    # x = 0
+        for _ in range(n + 1):
+            y = _step_log(y, lam, lnC, E, eps, fam.psi, cap)
         return y + mp.log(mark)
 
     return gap
@@ -321,6 +288,23 @@ class ResidualReport:
     verdict: str                     # "consistent" | "inconsistent"
 
 
+def _residual_rows(seq: ConnectionSequence, model: AsymptoticModel, prec: Precision):
+    """(entry, prediction, R_n, R_n / L^n) per entry; the last is 0 when |R_n| is
+    within the entry's noise floor, its bracket width plus 16 ulp of z_n."""
+    with prec.work():
+        L = mpf(model.Lambda)
+        ulp = mpf(2) ** (4 - prec.bits)
+        rows = []
+        for e in seq.entries:
+            pred = model.predict(e.n, prec)
+            r = mpf(e.z) - pred
+            scale = L ** e.n
+            q = r / scale
+            floor = (mpf(e.bracket_width) + abs(mpf(e.z)) * ulp) / scale
+            rows.append((e, pred, r, mpf(0) if abs(q) <= floor else q))
+        return rows
+
+
 def residual_analysis(
     seq: ConnectionSequence, model: AsymptoticModel, prec: Precision
 ) -> ResidualReport:
@@ -332,17 +316,9 @@ def residual_analysis(
     """
     if len(seq) < 8:
         raise InvalidInputError(f"need at least 8 entries, got {len(seq)}")
+    rows = _residual_rows(seq, model, prec)
     with prec.work():
-        L = mpf(model.Lambda)
-        ulp = mpf(2) ** (4 - prec.bits)
-        resid, norm = [], []
-        for e in seq.entries:
-            r = mpf(e.z) - model.predict(e.n, prec)
-            scale = L ** e.n
-            floor = (mpf(e.bracket_width) + abs(mpf(e.z)) * ulp) / scale
-            v = abs(r) / scale
-            resid.append(r)
-            norm.append(mpf(0) if v <= floor else v)
+        norm = [abs(q) for *_, q in rows]
         k = len(norm)
         tail_start = k - max(2, k // 3)
         tail = norm[tail_start:]
@@ -350,7 +326,7 @@ def residual_analysis(
         if ok and tail[0] > 0:
             ok = tail[-1] <= tail[0]
         return ResidualReport(
-            residuals=tuple(resid),
+            residuals=tuple(r for _, _, r, _ in rows),
             normalized=tuple(norm),
             tail_start=tail_start,
             verdict="consistent" if ok else "inconsistent",

@@ -23,7 +23,7 @@ from typing import Any, Dict, Optional, Tuple
 from mpmath import mp, mpf
 
 from . import connections as conn
-from .errors import DomainError, InvalidInputError, RangeError, SolverError
+from .errors import InvalidInputError, RangeError, SolverError
 from .monodromy import PerturbedPowerFamily
 from .numerics import Precision
 from .progressions import (
@@ -135,18 +135,9 @@ def _joint_residual(x, alpha, gamma) -> Tuple[Any, int, int]:
 
 def _admissible_pieces(fam: HeartFamily, prec: Precision):
     with prec.work():
-        nu1 = fam.nu(1, prec)
-        nu2 = fam.nu(2, prec)
-        t1 = mp.log(mpf(fam.C1)) / (1 - nu1)
-        t2 = mp.log(mpf(fam.C2)) / (1 - nu2)
-        a1 = t1 - mp.log(mpf(fam.B1))
-        a2 = t2 - mp.log(mpf(fam.B2))
-        for j, a in ((1, a1), (2, a2)):
-            if a <= 0:
-                raise DomainError(
-                    f"mark B{j} is inadmissible (double-log argument {a} <= 0); "
-                    "move it toward the polycycle, e.g. with re_mark"
-                )
+        nu1, nu2 = fam.nu(1, prec), fam.nu(2, prec)
+        t1, a1 = conn._mark_terms(fam.C1, nu1, fam.B1, "B1")
+        t2, a2 = conn._mark_terms(fam.C2, nu2, fam.B2, "B2")
         return nu1, nu2, t1, t2, a1, a2
 
 
@@ -195,10 +186,12 @@ def progression_model(
     outer side: step -ln nu2, free beta2, term theta2 nu2^m.  These are
     the exact two-term asymptotics of the solver sequences.
     """
-    inv = invariants(fam, prec)
-    loop = PerturbedProgression(step=inv.alpha, free=inv.beta1, coeff=inv.theta1, base=inv.nu1)
-    outer = PerturbedProgression(step=inv.gamma, free=inv.beta2, coeff=inv.theta2, base=inv.nu2)
-    return loop, outer
+    return _progressions(invariants(fam, prec))
+
+
+def _progressions(inv: InvariantReport) -> Tuple[PerturbedProgression, PerturbedProgression]:
+    return (PerturbedProgression(step=inv.alpha, free=inv.beta1, coeff=inv.theta1, base=inv.nu1),
+            PerturbedProgression(step=inv.gamma, free=inv.beta2, coeff=inv.theta2, base=inv.nu2))
 
 
 def connection_problems(fam: HeartFamily, prec: Precision):
@@ -447,7 +440,7 @@ def compare(
             wl = min(word_len, 2 * scan_depth)
             lengths = (min(wl, _table_letters(*sources[:2])), min(wl, _table_letters(*sources[2:])))
         else:
-            sources = (*progression_model(f1, prec), *progression_model(f2, prec))
+            sources = (*_progressions(inv1), *_progressions(inv2))
             scan_depth, lengths = depth, (word_len, word_len)
         # Solver values carry bisection error ~ tol; model values only rounding.
         floor = mpf(prec.tol) * 64 if use_solver else mpf(2) ** (10 - prec.bits)
@@ -503,15 +496,12 @@ def engineer_base_mismatch(
         nu1b, nu2b = lam2, mp.exp(mp.log(lam2) / A)
         gamma_b = -mp.log(nu2b)
         t1b = mp.log(mpf(fam.C1)) / (1 - nu1b)
-        t2b = mp.log(mpf(fam.C2)) / (1 - nu2b)
-        a2b = t2b - mp.log(mpf(fam.B2))
-        if a2b <= 0:
-            raise DomainError("outer mark of the engineered family is inadmissible")
+        t2b, a2b = conn._mark_terms(fam.C2, nu2b, fam.B2, "B2 of the engineered family")
         beta2b = mp.log(a2b)
 
         nu1, nu2 = inv0.nu1, inv0.nu2
         gamma = inv0.gamma
-        t1 = mp.log(mpf(fam.C1)) / (1 - nu1)
+        t1 = conn._mark_terms(fam.C1, nu1, fam.B1)[0]
         beta2 = inv0.beta2
         theta2 = inv0.theta2
         theta2b = -t2b / a2b

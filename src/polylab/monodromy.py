@@ -18,7 +18,7 @@ from .errors import (
     InvalidInputError,
     ModelViolationError,
 )
-from .numerics import DoubleLogValue, LogValue, Precision, _neg_log_add_raw, to_mpf
+from .numerics import DoubleLogValue, LogValue, Precision, _absorb_cap, _log_sum, to_mpf
 
 
 @dataclass(frozen=True)
@@ -124,18 +124,23 @@ def apply_family_log(
         E = mp.exp(mpf(eps_z.z))          # -ln eps > 0
         eps = mp.exp(-E)
         lam = fam.exponent(eps, prec)
-        ya = mp.inf if y.is_endpoint else lam * mpf(y.y) - mp.log(mpf(fam.C))
-        if fam.psi is None:
-            yb = E
-        else:
-            u = mpf(0) if y.is_endpoint else mp.exp(-lam * mpf(y.y))
-            psival = mpf(fam.psi(u, eps))
-            if psival <= -1:
-                raise ModelViolationError(
-                    f"psi(u, eps) = {psival} <= -1 makes the perturbation nonpositive"
-                )
-            yb = E - mp.log(1 + psival)
-        return LogValue(_neg_log_add_raw(ya, yb, prec))
+        return LogValue(_step_log(mpf(y.y), lam, mp.log(mpf(fam.C)), E, eps, fam.psi,
+                                  _absorb_cap(prec)))
+
+
+def _step_log(y, lam, lnC, E, eps, psi, cap):
+    """f_eps at y = -ln x (+inf at x = 0) from the per-eps values lam = Lambda(eps),
+    ln C and E = -ln eps, at the caller's working precision."""
+    if psi is None:
+        yb = E
+    else:
+        psival = mpf(psi(mp.exp(-lam * y), eps))
+        if psival <= -1:
+            raise ModelViolationError(
+                f"psi(u, eps) = {psival} <= -1 makes the perturbation nonpositive"
+            )
+        yb = E - mp.log(1 + psival)
+    return _log_sum(lam * y - lnC, yb, cap)
 
 
 @dataclass(frozen=True)

@@ -129,22 +129,28 @@ def neg_log_add(y_a: LogValue, y_b: LogValue, prec: Precision) -> LogValue:
     once the gap exceeds the mantissa size the smaller term is absorbed
     and the result equals min(y_a, y_b) exactly at working precision.
     """
-    return LogValue(_neg_log_add_raw(mpf(y_a.y), mpf(y_b.y), prec))
-
-
-def _neg_log_add_raw(ya, yb, prec: Precision):
-    if ya == mp.inf:
-        return yb
-    if yb == mp.inf:
-        return ya
     with prec.work():
-        lo, hi = (ya, yb) if ya <= yb else (yb, ya)
-        gap = hi - lo
-        if gap > prec.bits * mp.log(2) + 2:
-            return +lo
-        with mp.extraprec(16):
-            corr = mp.log(1 + mp.exp(-gap))
-        return lo - corr
+        ya, yb = mpf(y_a.y), mpf(y_b.y)
+        if mp.inf in (ya, yb):
+            return LogValue(min(ya, yb))
+        return LogValue(_log_sum(ya, yb, _absorb_cap(prec)))
+
+
+def _absorb_cap(prec: Precision):
+    """Gap beyond which the smaller mass of a log sum is below the last bit."""
+    return prec.bits * mp.log(2) + 2
+
+
+def _log_sum(ya, yb, cap):
+    """-ln(exp(-ya) + exp(-yb)) at the caller's working precision; past the cap the
+    smaller of ya, yb is returned as is (so one +inf is absorbed; two give NaN)."""
+    lo, hi = (ya, yb) if ya <= yb else (yb, ya)
+    gap = hi - lo
+    if gap > cap:
+        return lo
+    with mp.extraprec(16):
+        corr = mp.log(1 + mp.exp(-gap))
+    return lo - corr
 
 
 def to_double_log(y: LogValue, prec: Precision) -> DoubleLogValue:

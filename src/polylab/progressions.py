@@ -83,6 +83,9 @@ class ShiftPair:
     residual: Any = field(default=None, compare=False)
 
 
+MAX_SHIFT = 10 ** 4          # largest shift box; the offset search is linear in s_max
+
+
 @dataclass(frozen=True)
 class SearchBounds:
     s_max: int = 64
@@ -90,10 +93,9 @@ class SearchBounds:
     tol: Optional[Any] = None
 
     def __post_init__(self):
-        if self.s_max < 0 or self.p_max < 0:
-            raise InvalidInputError(
-                f"shift bounds must be >= 0, got s_max = {self.s_max}, p_max = {self.p_max}"
-            )
+        if not (0 <= self.s_max <= MAX_SHIFT and 0 <= self.p_max <= MAX_SHIFT):
+            raise InvalidInputError(f"shift bounds must lie in [0, {MAX_SHIFT}], "
+                                    f"got s_max = {self.s_max}, p_max = {self.p_max}")
 
 
 def _densities_differ(A1, A2, tol) -> bool:

@@ -118,6 +118,18 @@ def test_sparkle_family_outer_loop(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 8
 
 
+def test_sparkle_rows_at_noise_floor_print_zero(tmp_path, capsys):
+    # At 64 bits the residuals from n = 20 on are bracket noise; divided by
+    # L^n they would grow to ~2e3 by n = 60.  Those rows must print 0.
+    path = jfile(tmp_path, "model.json", MODEL)
+    code, out, _ = run(capsys, "sparkle", path, "--terms", "60", "--bits", "64")
+    assert code == 0
+    norm = [float(ln.split(",")[4]) for ln in out.strip().splitlines()[2:]]
+    assert len(norm) == 61
+    assert all(v == 0 for v in norm[20:])
+    assert all(0 < abs(v) < 0.14 for v in norm[:20])
+
+
 def test_sparkle_rejects_out_of_range_base(tmp_path, capsys):
     path = jfile(tmp_path, "model.json", dict(MODEL, B0="1.5"))
     code, _, err = run(capsys, "sparkle", path)
@@ -284,7 +296,8 @@ def test_non_finite_field_exit_2(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize("flag, value", [("--depth", "-5"), ("--depth", "0"),
-                                         ("--max-shift", "-1"), ("--tol", "inf")])
+                                         ("--max-shift", "-1"), ("--max-shift", "10001"),
+                                         ("--tol", "inf")])
 def test_compare_rejects_bad_arguments_exit_2(tmp_path, capsys, flag, value):
     path = jfile(tmp_path, "fam.json", EXAMPLE)
     code, out, err = run(capsys, "compare", path, path, flag, value)

@@ -20,6 +20,7 @@ from polylab import (
     re_mark,
     relative_scale_from_progressions,
 )
+from polylab import heart
 from polylab.progressions import SearchBounds
 from tests.conftest import random_family
 
@@ -278,3 +279,15 @@ def test_compare_solver_route_agrees(prec):
     assert (marked.shift.s, marked.shift.p) == (1, 0)
     assert (marked.checked_depth, marked.undecided) == (8, 0)
     assert marked.margins["word_overlap"] == 15
+
+
+def test_compare_model_route_evaluates_invariants_once_per_family(prec, monkeypatch):
+    # The model progressions are built from the invariants compare holds.
+    fam = example_family()
+    marked = re_mark(fam, 1, 1, prec)
+    calls = []
+    real = heart.invariants
+    monkeypatch.setattr(heart, "invariants", lambda f, p: calls.append(f) or real(f, p))
+    rep = compare(fam, marked, prec, depth=500)
+    assert rep.verdict == "possibly-equivalent" and rep.checked_depth == 500
+    assert calls == [fam, marked]

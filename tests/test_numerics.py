@@ -66,6 +66,7 @@ def test_neg_log_add_endpoint_passthrough(prec):
     assert y.y == 1
     y = neg_log_add(LogValue(mp.inf), LogValue(mpf(1)), prec)
     assert y.y == 1
+    assert neg_log_add(LogValue(mp.inf), LogValue(mp.inf), prec).is_endpoint
 
 
 def test_neg_log_add_equal_arguments(prec):
@@ -83,6 +84,10 @@ def test_neg_log_add_known_value(prec):
         expected = -mp.log(mpf("1.1"))
         assert abs(out.y - expected) < mpf(2) ** -250
         assert abs(float(out.y) - -0.0953102) < 1e-6
+        a, b = LogValue(mp.pi), LogValue(mp.e)
+        inside = neg_log_add(a, b, prec)
+    # Called outside a working-precision block, the inputs keep their bits.
+    assert neg_log_add(a, b, prec) == inside
 
 
 def test_neg_log_add_commutes_and_is_monotone(prec):

@@ -69,6 +69,8 @@ def test_theta_two_routes_agree(prec):
             th = theta(C, L, B, prec)
             direct = -t / (t - mp.log(B))
             assert abs(th - direct) <= prec.tol * max(1, abs(direct))
+            via_beta = -mp.exp(-beta(C, L, B, prec)) * t
+            assert abs(th - via_beta) <= prec.tol * max(1, abs(via_beta))
 
 
 def test_problem_validation(prec):
@@ -182,6 +184,12 @@ def test_recover_exact_synthetic(prec):
         assert abs(rec.model.beta - mpf("1.2")) < mpf("1e-6")
         assert abs(rec.model.theta + mpf("0.8")) < mpf("1e-6")
         assert not rec.theta_flagged_zero
+    # The 15-entry exact sequence of the standing example problem.
+    model = asymptotic_model(model_problem(), prec)
+    rec = recover_parameters(synthetic_sequence(model, 14, prec), prec)
+    with prec.work():
+        assert abs(rec.model.Lambda - model.Lambda) < mpf("1e-20")
+        assert abs(rec.model.beta - model.beta) < mpf("1e-15")
 
 
 def test_recover_flags_zero_coefficient(prec):

@@ -183,6 +183,18 @@ def test_re_mark_identity_and_covariance(prec):
         assert abs(inv2.Xi - inv.Xi) < tol
         assert abs(inv2.Theta - inv.Theta / inv.nu2) < tol
 
+    # Backward turns: tau_paper moves by k*A (loop) or -k (outer), and
+    # only the loop turn rescales Xi, by nu1^(-k).
+    for j, k in ((1, -2), (2, -3)):
+        inv3 = invariants(re_mark(fam, j, k, prec), prec)
+        with prec.work():
+            if j == 1:
+                want_tau, want_Xi = inv.tau_paper + k * inv.A, inv.Xi * inv.nu1 ** (-k)
+            else:
+                want_tau, want_Xi = inv.tau_paper - k, inv.Xi
+            assert abs(inv3.tau_paper - want_tau) < tol
+            assert abs(inv3.Xi - want_Xi) < tol
+
 
 def test_re_mark_round_trip(prec):
     fam = example_family()

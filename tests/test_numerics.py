@@ -52,6 +52,8 @@ def test_log_value_chart(prec):
         y = LogValue.from_x("0.25", prec)
         assert y.y == -mp.log(mpf("0.25"))
         assert abs(y.to_x(prec) - mpf("0.25")) < mpf(2) ** -250
+        for x in (mpf("1e-9"), mpf("0.5"), mpf("0.999")):
+            assert abs(LogValue.from_x(x, prec).to_x(prec) - x) < x * mpf(2) ** -250
         assert LogValue.from_x(0, prec).is_endpoint
         assert LogValue.from_x(0, prec).to_x(prec) == 0
     with pytest.raises(DomainError):
@@ -147,6 +149,9 @@ def test_eps_chart_validation(prec):
     with prec.work():
         z = DoubleLogValue.from_eps(mpf("0.01"), prec)
         assert abs(z.to_eps(prec) - mpf("0.01")) < mpf(2) ** -240
+        for z in (mpf(-2), mpf("0.5"), mpf(3)):
+            back = DoubleLogValue.from_eps(DoubleLogValue(z).to_eps(prec), prec).z
+            assert abs(back - z) < mpf(2) ** -240
 
 
 @given(a=st.floats(min_value=-80, max_value=80, allow_nan=False),

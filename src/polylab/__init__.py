@@ -100,6 +100,5 @@ from .liouville import (
     required_bits,
     verify,
 )
-from .selftest import CheckResult, run_selftests
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Batch command-line interface.
 
 Subcommands ingest JSON documents whose numbers may be decimal strings
-(binary-float literals lose bits), run at the requested precision, and
+or number literals (both read exactly), run at the requested precision, and
 emit deterministic JSON or CSV reports that embed the resolved run
 configuration.  Exit codes: 0 ok, 2 bad input, 3 domain error, 4 solver
 failure, 5 insufficient precision, 10 inequivalent verdict.
@@ -17,7 +17,6 @@ from mpmath import mp, mpf
 
 from . import connections as conn
 from . import heart, liouville
-from . import selftest as selftest_mod
 from .errors import (
     DomainError,
     InvalidInputError,
@@ -73,7 +72,7 @@ def _emit_json(doc: Dict[str, Any], bits: int, out: Optional[str]) -> None:
 def _load_json(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=str)
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidInputError(f"cannot read JSON from {path}: {exc}") from None
 
@@ -270,23 +269,6 @@ def cmd_liouville(args, prec: Precision) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(args, prec: Precision) -> int:
-    results = selftest_mod.run_selftests(prec, only=args.filter)
-    ok = all(r.passed for r in results)
-    report = {
-        "config": _config(args, prec, filter=args.filter),
-        "results": [
-            {"module": r.module, "name": r.name, "passed": r.passed, "detail": r.detail}
-            for r in results
-        ],
-        "passed": sum(1 for r in results if r.passed),
-        "failed": sum(1 for r in results if not r.passed),
-        "ok": ok,
-    }
-    _emit_json(report, prec.bits, args.out)
-    return EXIT_OK if ok else 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polylab",
@@ -331,11 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=1, help="number of nesting steps")
     p.add_argument("--seed", type=int, default=0, help="tie-breaking seed")
     p.set_defaults(func=cmd_liouville)
-
-    p = sub.add_parser("selftest", parents=[common],
-                       help="run the library's structural identity checks")
-    p.add_argument("--filter", type=str, default=None, help="restrict to one module")
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 

@@ -27,7 +27,7 @@ from .errors import (
     ModelViolationError,
 )
 from .monodromy import PerturbedPowerFamily, _step_log
-from .numerics import DoubleLogValue, Precision, _absorb_cap, _differences
+from .numerics import DoubleLogValue, Precision, _absorb_cap, _check_finite, _differences
 
 
 def _mark_terms(C, nu, B, name: str = "B"):
@@ -75,6 +75,7 @@ class ConnectionProblem:
     B1: Any = 0
 
     def __post_init__(self):
+        _check_finite(self, "B0", "B1")
         if not (0 < mpf(self.B0) < 1):
             raise DomainError(f"B0 must lie in (0, 1), got {self.B0}")
 
@@ -88,6 +89,7 @@ class AsymptoticModel:
     theta: Any
 
     def __post_init__(self):
+        _check_finite(self, "Lambda", "beta", "theta")
         if not (0 < mpf(self.Lambda) < 1):
             raise InvalidInputError(f"Lambda must lie in (0, 1), got {self.Lambda}")
 

@@ -25,7 +25,7 @@ from mpmath import mp, mpf
 from . import connections as conn
 from .errors import InvalidInputError, RangeError, SolverError
 from .monodromy import PerturbedPowerFamily
-from .numerics import Precision
+from .numerics import Precision, _check_finite
 from .progressions import (
     PairInvariants,
     PerturbedProgression,
@@ -63,6 +63,7 @@ class HeartFamily:
     B2: Any
 
     def __post_init__(self):
+        _check_finite(self, "lam", "mu", "C1", "C2", "B1", "B2")
         lam, mu = mpf(self.lam), mpf(self.mu)
         if not (0 < lam < 1):
             raise InvalidInputError(f"lam must lie in (0, 1), got {lam}")

@@ -21,7 +21,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 from mpmath import mp, mpf
 
 from .errors import InvalidInputError, PrecisionError, SolverError
-from .numerics import Precision
+from .numerics import Precision, _check_finite
 
 TRIM = mpf("0.1")          # margin carved off each side to keep nesting strict
 SHARE_MIN = mpf("0.25")    # reuse an anchor only if the cut keeps this fraction
@@ -34,7 +34,7 @@ def _as_fraction(q) -> Fraction:
         raise InvalidInputError(f"multiplier {q!r} must be exact (string, int, or Fraction)")
     try:
         return Fraction(q)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"bad multiplier {q!r}: {exc}") from None
 
 
@@ -50,8 +50,8 @@ class LiouvilleSpec:
     N_schedule: Tuple[int, ...]
 
     def __post_init__(self):
+        _check_finite(self, "gamma", "u", "Xi", "lam")
         g, xi, lam = mpf(self.gamma), mpf(self.Xi), mpf(self.lam)
-        mpf(self.u)
         if not g > 0:
             raise InvalidInputError(f"gamma must be positive, got {g}")
         if xi == 0:
@@ -63,8 +63,9 @@ class LiouvilleSpec:
             if not (Fraction(1, 2) <= q < 1 or 1 < q <= 2):
                 raise InvalidInputError(f"multiplier {q} outside [1/2, 1) u (1, 2]")
         object.__setattr__(self, "q_list", qs)
-        Ns = tuple(int(N) for N in self.N_schedule)
-        if not Ns or any(N <= 0 for N in Ns) or any(b <= a for a, b in zip(Ns, Ns[1:])):
+        Ns = tuple(self.N_schedule)
+        if (not Ns or any(type(N) is not int or N <= 0 for N in Ns)
+                or any(b <= a for a, b in zip(Ns, Ns[1:]))):
             raise InvalidInputError("N_schedule must be strictly increasing positive integers")
         object.__setattr__(self, "N_schedule", Ns)
 

@@ -18,7 +18,7 @@ from .errors import (
     InvalidInputError,
     ModelViolationError,
 )
-from .numerics import DoubleLogValue, LogValue, Precision, _absorb_cap, _log_sum, to_mpf
+from .numerics import DoubleLogValue, LogValue, Precision, _absorb_cap, _check_finite, _log_sum, to_mpf
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,7 @@ class PerturbedPowerFamily:
     psi: Optional[Callable[[Any, Any], Any]] = None
 
     def __post_init__(self):
+        _check_finite(self, "C", "Lambda0", "Lambda1")
         if not (mpf(self.C) > 0):
             raise InvalidInputError(f"C must be positive, got {self.C}")
         if not (0 < mpf(self.Lambda0) < 1):

@@ -68,6 +68,14 @@ def to_mpf(x, prec: Precision):
         return mpf(x)
 
 
+def _check_finite(obj, *names: str) -> None:
+    """Reject a NaN or infinite value in any named field of an input record."""
+    for name in names:
+        v = getattr(obj, name)
+        if not mp.isfinite(mpf(v)):
+            raise InvalidInputError(f"{name} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class LogValue:
     """y = -ln x for a phase point x > 0; y = +inf encodes the endpoint x = 0."""

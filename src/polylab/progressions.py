@@ -30,7 +30,7 @@ from .errors import (
     ReconstructionError,
     TieError,
 )
-from .numerics import Precision, _differences
+from .numerics import Precision, _check_finite, _differences
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,7 @@ class PerturbedProgression:
     _geometric: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_finite(self, "step", "free", "coeff", "base")
         if not (mpf(self.step) > 0):
             raise InvalidInputError(f"step must be positive, got {self.step}")
         if not (0 < mpf(self.base) < 1):

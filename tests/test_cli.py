@@ -1,6 +1,7 @@
 """Batch interface: JSON in, deterministic JSON/CSV out, documented exit codes."""
 
 import json
+import pathlib
 
 import pytest
 from mpmath import mp, mpf
@@ -212,6 +213,18 @@ def test_liouville_infeasible_depth_exit_5(tmp_path, capsys):
     assert diag["exit_code"] == 5 and diag["required_bits"] > 256
 
 
+@pytest.mark.parametrize("field, entries", [
+    ("q_list", [{"a": 1}]), ("q_list", [None]),
+    ("N_schedule", ["abc"]), ("N_schedule", [None]),
+    ("N_schedule", [10.7]), ("N_schedule", [True, 10]),
+])
+def test_liouville_rejects_bad_spec_arrays_exit_2(tmp_path, capsys, field, entries):
+    path = jfile(tmp_path, "spec.json", dict(TOY_SPEC, **{field: entries}))
+    code, out, err = run(capsys, "liouville", path)
+    assert code == 2 and out == ""
+    assert json.loads(err)["exit_code"] == 2
+
+
 def test_liouville_seed_changes_A(tmp_path, capsys):
     path = jfile(tmp_path, "spec.json", TOY_SPEC)
     _, out0, _ = run(capsys, "liouville", path, "--seed", "0")
@@ -219,21 +232,6 @@ def test_liouville_seed_changes_A(tmp_path, capsys):
     A0 = json.loads(out0)["A"]
     A3 = json.loads(out3)["A"]
     assert A0 != A3
-
-
-# ------------------------------------------------------------------ selftest
-
-def test_selftest_filtered(tmp_path, capsys):
-    code, out, _ = run(capsys, "selftest", "--filter", "numerics")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["ok"] is True and doc["failed"] == 0
-    assert all(r["module"] == "numerics" for r in doc["results"])
-
-
-def test_selftest_unknown_filter(capsys):
-    code, _, err = run(capsys, "selftest", "--filter", "bogus")
-    assert code == 2 and json.loads(err)["exit_code"] == 2
 
 
 # ------------------------------------------------------- plumbing and errors
@@ -285,6 +283,21 @@ def test_non_numeric_field_exit_2(tmp_path, capsys):
     path = jfile(tmp_path, "fam.json", dict(EXAMPLE, C1=True))
     code, _, err = run(capsys, "invariants", path)
     assert code == 2
+
+
+def test_number_literals_read_exactly(tmp_path, capsys):
+    # B1 = 0.1 as a JSON literal must not pass through a binary float.
+    golden = pathlib.Path(__file__).parent / "golden" / "inputs" / "family.json"
+    doc = json.loads(golden.read_text())
+    literal = tmp_path / "literal.json"
+    literal.write_text(json.dumps({k: json.loads(str(v)) for k, v in doc.items()}))
+    assert '"B1": 0.1' in literal.read_text()
+    _, out_str, _ = run(capsys, "invariants", str(golden))
+    code, out_lit, _ = run(capsys, "invariants", str(literal))
+    assert code == 0
+    rep_str, rep_lit = json.loads(out_str), json.loads(out_lit)
+    assert rep_lit["invariants"] == rep_str["invariants"]
+    assert rep_lit["family"]["B1"] == "0.1"
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])

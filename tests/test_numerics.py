@@ -8,10 +8,16 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from polylab import (
+    AsymptoticModel,
+    ConnectionProblem,
     DomainError,
     DoubleLogValue,
+    HeartFamily,
     InvalidInputError,
+    LiouvilleSpec,
     LogValue,
+    PerturbedPowerFamily,
+    PerturbedProgression,
     Precision,
     from_double_log,
     neg_log_add,
@@ -35,6 +41,31 @@ def test_precision_rejects_bad_tol():
     for tol in (-1, mp.inf, mp.nan):
         with pytest.raises(InvalidInputError):
             Precision(bits=128, tol=tol)
+
+
+_VALID_INPUTS = {
+    HeartFamily: dict(lam="0.5", mu=5, C1=2, C2=3, B1="0.1", B2="0.2"),
+    PerturbedPowerFamily: dict(C=2, Lambda0="0.6"),
+    ConnectionProblem: dict(family=PerturbedPowerFamily(C=2, Lambda0="0.6"), B0="0.1"),
+    LiouvilleSpec: dict(gamma=1, u="0.3", Xi="0.7", lam="0.6",
+                        q_list=("1/2",), N_schedule=(10,)),
+    PerturbedProgression: dict(step=1, free=0),
+    AsymptoticModel: dict(Lambda="0.6", beta="1.2", theta="-0.8"),
+}
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (HeartFamily, "mu", "inf"), (HeartFamily, "C1", "inf"),
+    (PerturbedPowerFamily, "C", "inf"), (PerturbedPowerFamily, "Lambda1", "nan"),
+    (ConnectionProblem, "B1", "inf"),
+    (LiouvilleSpec, "gamma", "inf"), (LiouvilleSpec, "u", "nan"),
+    (PerturbedProgression, "step", "inf"), (PerturbedProgression, "free", "nan"),
+    (AsymptoticModel, "beta", "nan"),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_input_records_reject_non_finite(cls, name, value):
+    cls(**_VALID_INPUTS[cls])
+    with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
+        cls(**dict(_VALID_INPUTS[cls], **{name: value}))
 
 
 def test_env_override(monkeypatch):

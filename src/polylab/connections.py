@@ -160,8 +160,51 @@ def _orbit_gap_fn(prob: ConnectionProblem, n: int, prec: Precision) -> Callable[
     return gap
 
 
+def _locate_root(gap, a, ga, b, gb, margin, max_steps):
+    """Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on a bracket with
+    g(a) <= 0 <= g(b).  Returns a sub-bracket [a, b] with the same signs, at most
+    `margin` wide unless max_steps run out or the mantissa cannot split it.
+
+    Each step is clamped margin/2 inside the bracket, so a one-sided run of
+    secant points still shrinks it.
+    """
+    half = margin / 2
+    side = 0                          # end replaced by the previous step
+    for _ in range(max_steps):
+        if b - a <= margin:
+            break
+        x = min(max(a - ga * (b - a) / (gb - ga), a + half), b - half)
+        if not a < x < b:
+            break                     # mantissa exhausted
+        gx = gap(x)
+        if gx == 0:
+            return x, x
+        if gx < 0:
+            a, ga = x, gx
+            if side < 0:
+                gb /= 2               # b is stale: halve its value
+            side = -1
+        else:
+            b, gb = x, gx
+            if side > 0:
+                ga /= 2
+            side = 1
+    return a, b
+
+
 def _bisect_connection(prob: ConnectionProblem, n: int, prec: Precision):
-    """Returns (w_root, final_bracket_width); bisects down to prec.tol."""
+    """Returns (w_root, final_bracket_width): the bracket that bisection down
+    to prec.tol ends with, found with far fewer evaluations of the gap g.
+
+    Bisection's path depends only on the sign of g at each midpoint.
+    `_locate_root` first narrows the starting bracket to [a, b], at most
+    margin = max(tol, 2^-(bits/2)) 2^-(bits/4) wide.  The halving loop then
+    runs unchanged, except that a midpoint more than margin outside [a, b]
+    takes its side's sign without evaluating g.  The rounding noise of g is
+    far below slope x margin, so the result is bisection's to the last bit;
+    flooring tol at 2^-(bits/2) keeps that true when tol is below the last
+    bit of w.
+    """
     with prec.work():
         model = asymptotic_model(prob, prec)
         center = model.predict(n, prec)
@@ -191,11 +234,13 @@ def _bisect_connection(prob: ConnectionProblem, n: int, prec: Precision):
                 hi = center + r
                 ghi = gap(hi)
             doublings += 1
+        margin = max(tol, mpf(2) ** -(prec.bits // 2)) * mpf(2) ** -(prec.bits // 4)
+        a, b = _locate_root(gap, lo, glo, hi, ghi, margin, mp.mag((hi - lo) / tol))
         while hi - lo > tol:
             mid = (lo + hi) / 2
             if mid == lo or mid == hi:
                 break                 # mantissa exhausted
-            if gap(mid) < 0:
+            if mid < a - margin or (mid <= b + margin and gap(mid) < 0):
                 lo = mid
             else:
                 hi = mid
@@ -207,8 +252,10 @@ def solve_connection(prob: ConnectionProblem, n: int, prec: Precision) -> Double
 
     The equation f_eps^(n+1)(0) = B(eps) is solved as
     f_eps^n(f_eps(0)) = B(eps) with f_eps(0) = eps (1 + psi(0, eps)),
-    by monotone bisection in w = ln(-ln eps) started from the
-    asymptotic-model prediction.
+    in w = ln(-ln eps) from a bracket around the asymptotic-model
+    prediction.  The result is that of bisection down to prec.tol, bit for
+    bit, found by a regula falsi search and a replay of bisection's
+    midpoints (`_bisect_connection`).
     """
     if n < 0:
         raise InvalidInputError(f"index must be >= 0, got {n}")

@@ -112,11 +112,15 @@ def q_window(spec: LiouvilleSpec, n: int, m: int, q, prec: Precision) -> Tuple[A
         return lo, hi
 
 
+def _log2(x) -> float:
+    """log2 |x| of a nonzero mpf, also where x is beyond float range (1e400, 1e-400)."""
+    return math.log2(x.man) + x.exp
+
+
 def required_bits(spec: LiouvilleSpec, n: int) -> int:
     """Working precision needed to resolve windows at depth n."""
-    lam = float(mpf(spec.lam))
-    gamma = float(mpf(spec.gamma))
-    return int(math.ceil(n * math.log2(1 / lam) + math.log2(gamma * n + 2))) + GUARD_BITS
+    lam, gamma = mpf(spec.lam), mpf(spec.gamma)
+    return int(math.ceil(-n * _log2(lam) + _log2(gamma * n + 2))) + GUARD_BITS
 
 
 def coverage(spec: LiouvilleSpec, depth: int) -> List[Tuple[int, Fraction]]:
@@ -137,9 +141,7 @@ def estimate_requirements(spec: LiouvilleSpec, depth: int) -> Tuple[int, int]:
     by lam^(-n_prev).  Estimates saturate at 10^9 bits.
     """
     steps = coverage(spec, depth)
-    lam = float(mpf(spec.lam))
-    gamma = float(mpf(spec.gamma))
-    lxi = math.log10(abs(float(mpf(spec.Xi))))
+    log_lam, log_gamma, lxi = (_log2(mpf(v)) * math.log10(2) for v in (spec.lam, spec.gamma, spec.Xi))
     trim, share_min, place = float(TRIM), float(SHARE_MIN), float(PLACE_FACTOR)
     log_w = math.log10(0.5)
     zone: Optional[Tuple[float, float]] = None
@@ -154,7 +156,7 @@ def estimate_requirements(spec: LiouvilleSpec, depth: int) -> Tuple[int, int]:
                 t = trim * (hi - lo)
                 zone = (lo + t, hi - t)
                 log_w = (math.log10(zone[1] - zone[0]) + lxi
-                         + anchor_n * math.log10(lam) - math.log10(gamma * anchor_n))
+                         + anchor_n * log_lam - log_gamma - math.log10(anchor_n))
                 max_n = max(max_n, anchor_n)
                 continue
         if -log_w > 8.0:
@@ -166,7 +168,7 @@ def estimate_requirements(spec: LiouvilleSpec, depth: int) -> Tuple[int, int]:
         anchor_n = n
         max_n = max(max_n, n)
         log_w = (math.log10(zone[1] - zone[0]) + lxi
-                 + n * math.log10(lam) - math.log10(gamma * n))
+                 + n * log_lam - log_gamma - math.log10(n))
     return max_n, required_bits(spec, max_n)
 
 

@@ -225,6 +225,16 @@ def test_liouville_rejects_bad_spec_arrays_exit_2(tmp_path, capsys, field, entri
     assert json.loads(err)["exit_code"] == 2
 
 
+@pytest.mark.parametrize("field, value", [("gamma", "1e400"), ("lambda", "1e-400")])
+def test_liouville_extreme_spec_values_exit_documented_code(tmp_path, capsys, field, value):
+    # Finite in mpmath but not as a float: the bit estimate used to crash (exit 1).
+    path = jfile(tmp_path, "spec.json", dict(TOY_SPEC, **{field: value}))
+    code, out, err = run(capsys, "liouville", path, "--depth", "1")
+    assert code in (0, 2, 3, 5)
+    if code:
+        assert out == "" and json.loads(err)["exit_code"] == code
+
+
 def test_liouville_seed_changes_A(tmp_path, capsys):
     path = jfile(tmp_path, "spec.json", TOY_SPEC)
     _, out0, _ = run(capsys, "liouville", path, "--seed", "0")

@@ -15,6 +15,7 @@ from polylab import (
     LogValue,
     ModelViolationError,
     PerturbedPowerFamily,
+    Precision,
     apply_family_log,
     asymptotic_model,
     beta,
@@ -26,6 +27,7 @@ from polylab import (
     synthetic_sequence,
     theta,
 )
+from polylab import connections
 
 # 30-digit reference values for the standing example problem
 # (C=2, Lambda=0.6, B=0.1), frozen from an independent evaluation of
@@ -289,3 +291,136 @@ def test_psi_at_or_below_minus_one_is_a_model_violation(prec):
         solve_connection(prob, 3, prec)
     with pytest.raises(ModelViolationError):
         apply_family_log(prob.family, DoubleLogValue(1), LogValue(mp.inf), prec)
+
+
+def _halving_oracle(prob, n, prec):
+    """The plain halving loop the connection solver replays, kept verbatim:
+    its (w, width) is what `_bisect_connection` must return bit for bit."""
+    with prec.work():
+        model = connections.asymptotic_model(prob, prec)
+        center = model.predict(n, prec)
+        tol = mpf(prec.tol)
+        gap = connections._orbit_gap_fn(prob, n, prec)
+        r = mpf(connections._BRACKET_RADIUS)
+        lo, hi = center - r, center + r
+        glo, ghi = gap(lo), gap(hi)
+        if glo > 0 and ghi < 0:
+            raise ModelViolationError(
+                f"residual decreases across initial bracket at n = {n}; "
+                "family violates monotonicity in eps"
+            )
+        doublings = 0
+        while not (glo <= 0 <= ghi):
+            if doublings >= connections._MAX_DOUBLINGS:
+                raise connections.BracketError(
+                    f"no sign change after {connections._MAX_DOUBLINGS} doublings at n = {n}"
+                )
+            r *= 2
+            if glo > 0:               # root lies to the left
+                hi, ghi = lo, glo
+                lo = center - r
+                glo = gap(lo)
+            else:                     # root lies to the right
+                lo, glo = hi, ghi
+                hi = center + r
+                ghi = gap(hi)
+            doublings += 1
+        while hi - lo > tol:
+            mid = (lo + hi) / 2
+            if mid == lo or mid == hi:
+                break                 # mantissa exhausted
+            if gap(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2, hi - lo
+
+
+@pytest.fixture
+def gap_calls(monkeypatch):
+    """Counts gap evaluations per solve: one list entry per `_orbit_gap_fn` call."""
+    counts = []
+    real = connections._orbit_gap_fn
+
+    def counting(prob, n, prec):
+        gap = real(prob, n, prec)
+        counts.append(0)
+        slot = len(counts) - 1
+
+        def counted(w):
+            counts[slot] += 1
+            return gap(w)
+
+        return counted
+
+    monkeypatch.setattr(connections, "_orbit_gap_fn", counting)
+    return counts
+
+
+def _random_problem(rng, variant):
+    """A random admissible problem: plain model, Lambda1 != 0, B1 != 0 or a psi term."""
+    while True:
+        fam = PerturbedPowerFamily(
+            C=rng.uniform(0.5, 3.0),
+            Lambda0=rng.uniform(0.3, 0.85),
+            Lambda1=rng.uniform(0.05, 0.3) if variant == "Lambda1" else 0,
+            psi=(lambda u, eps: u / 4 + eps / 3) if variant == "psi" else None,
+        )
+        prob = ConnectionProblem(family=fam, B0=rng.uniform(0.02, 0.4),
+                                 B1=rng.uniform(-0.05, 0.1) if variant == "B1" else 0)
+        try:
+            asymptotic_model(prob, Precision(bits=64))
+            return prob
+        except DomainError:
+            continue                  # inadmissible mark: draw again
+
+
+VARIANTS = ("model", "Lambda1", "B1", "psi")
+
+
+def _identity_cases(bits):
+    """(variant, n) pairs: the full product, twice below 256 bits; at 512 and
+    1024 bits, where the oracle is slowest, each n once with the variants in
+    turn, psi (the dearest orbit step) away from n = 70."""
+    ns = (0, 1, 2, 5, 20, 70)
+    if bits >= 512:
+        return [(VARIANTS[(i + bits // 1024) % 4], n) for i, n in enumerate(reversed(ns))]
+    return [(v, n) for v in VARIANTS for n in ns] * (2 if bits < 256 else 1)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512, 1024])
+def test_solver_is_bit_identical_to_halving(bits):
+    # 132 seeded problems in all, each n under each problem variant.
+    rng = random.Random(bits)
+    prec = Precision(bits=bits)
+    for variant, n in _identity_cases(bits):
+        prob = _random_problem(rng, variant)
+        w, width = connections._bisect_connection(prob, n, prec)
+        assert (w, width) == _halving_oracle(prob, n, prec), (variant, n, prob)
+
+
+@pytest.mark.parametrize("bits", [256, 512, 1024])
+def test_solver_gap_evaluations_per_solve(bits, gap_calls):
+    # The plain halving loop makes 131, 259 and 515 evaluations per solve here.
+    generate_sequence(model_problem(), 25, Precision(bits=bits))
+    assert len(gap_calls) == 26
+    assert max(gap_calls) <= 25, gap_calls
+
+
+def test_solver_at_exhausted_mantissa_matches_halving(gap_calls):
+    # tol = 2^-80 is below the last bit of a 64-bit z_n: both loops stop on
+    # mid == lo or mid == hi, and the locate step must stop too.
+    prec = Precision(bits=64, tol=mpf(2) ** -80)
+    seq = generate_sequence(model_problem(), 10, prec)
+    ours = list(gap_calls)
+    for e in seq.entries:
+        assert (e.z, e.bracket_width) == _halving_oracle(model_problem(), e.n, prec)
+    halving = gap_calls[len(ours):]
+    assert all(a <= b for a, b in zip(ours, halving)), (ours, halving)
+    # The gap's rounding noise here spans a few last bits of w: a margin of
+    # tol 2^-(bits/4) alone, below one ulp, gives a wrong sign on replay.
+    prob = ConnectionProblem(
+        family=PerturbedPowerFamily(C="2.948", Lambda0="0.683", psi=lambda u, eps: u / 4 + eps / 3),
+        B0="0.164",
+    )
+    assert connections._bisect_connection(prob, 0, prec) == _halving_oracle(prob, 0, prec)

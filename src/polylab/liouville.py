@@ -118,9 +118,9 @@ def _log2(x) -> float:
 
 
 def required_bits(spec: LiouvilleSpec, n: int) -> int:
-    """Working precision needed to resolve windows at depth n."""
-    lam, gamma = mpf(spec.lam), mpf(spec.gamma)
-    return int(math.ceil(-n * _log2(lam) + _log2(gamma * n + 2))) + GUARD_BITS
+    """Working precision needed to resolve windows at depth n (width ~ |Xi| lam^n / (gamma n))."""
+    lam, gamma, Xi = mpf(spec.lam), mpf(spec.gamma), mpf(spec.Xi)
+    return int(math.ceil(-n * _log2(lam) + _log2(gamma * n + 2) - _log2(Xi))) + GUARD_BITS
 
 
 def coverage(spec: LiouvilleSpec, depth: int) -> List[Tuple[int, Fraction]]:

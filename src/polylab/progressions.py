@@ -149,65 +149,165 @@ def equivalent_pairs(
         return matches[0]
 
 
-@dataclass(frozen=True)
+_TO_BITS = str.maketrans("XY", "01")
+_TO_LETTERS = str.maketrans("01", "XY")
+_NOT_LETTERS = str.maketrans("", "", "XY")
+_Y_DIGIT = ord("1")
+
+
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class InterleavingWord:
-    """Merge order of two progressions as letters X/Y, indices from (n_start, m_start)."""
+    """Merge order of two progressions as letters X/Y, stored at one bit per letter.
 
-    letters: str
-    n_start: int = 1
-    m_start: int = 1
+    The letters are the binary digits of one integer after its leading 1,
+    0 for X and 1 for Y, so a word of L letters costs about L/8 bytes.
+    """
 
-    def __post_init__(self):
-        if any(ch not in "XY" for ch in self.letters):
+    _bits: int
+
+    def __init__(self, letters: str = ""):
+        if not isinstance(letters, str) or letters.translate(_NOT_LETTERS):
             raise InvalidInputError("letters must be over the alphabet {X, Y}")
+        object.__setattr__(self, "_bits", int("1" + letters.translate(_TO_BITS), 2))
+
+    @classmethod
+    def _from_digits(cls, digits: bytes) -> "InterleavingWord":
+        word = object.__new__(cls)
+        object.__setattr__(word, "_bits", int(b"1" + digits, 2))
+        return word
+
+    def _digits(self) -> str:
+        return bin(self._bits)[3:]
 
     @property
-    def x_count(self) -> int:
-        return self.letters.count("X")
+    def letters(self) -> str:
+        return self._digits().translate(_TO_LETTERS)
 
     @property
     def y_count(self) -> int:
-        return self.letters.count("Y")
+        return self._bits.bit_count() - 1
+
+    @property
+    def x_count(self) -> int:
+        return self._bits.bit_length() - 1 - self.y_count
 
     def staircase(self) -> List[int]:
         """c[j] = number of X letters preceding the (j+1)-th Y letter; exact per prefix."""
-        out = []
-        seen_x = 0
-        for ch in self.letters:
-            if ch == "X":
-                seen_x += 1
-            else:
-                out.append(seen_x)
-        return out
+        return self._staircase().tolist()
+
+    def _staircase(self) -> np.ndarray:
+        c = np.flatnonzero(np.frombuffer(self._digits().encode("ascii"), np.uint8) == _Y_DIGIT)
+        c -= np.arange(len(c))
+        return c
+
+    def __repr__(self) -> str:
+        return f"InterleavingWord(letters={self.letters!r})"
+
+
+def _merge(p1, p2, N: int, tol, prec: Precision, stop=None) -> Tuple[bytearray, int, int]:
+    """The merge loop: digits (b"0" for X, b"1" for Y) and the next indices (n, m).
+
+    Runs for N letters, or until n and m have both reached stop.  A
+    collision within tol raises TieError with the colliding indices.
+    """
+    n_stop, m_stop = stop or (N + 2, N + 2)
+    digits = bytearray()
+    n, m = 1, 1
+    xv, yv = p1.value(1, prec), p2.value(1, prec)
+    while len(digits) < N and (n < n_stop or m < m_stop):
+        if abs(xv - yv) <= tol:
+            raise TieError(
+                f"x_{n} = {xv} and y_{m} = {yv} collide within {tol}", n=n, m=m
+            )
+        if xv < yv:
+            digits += b"0"
+            n += 1
+            xv = p1.value(n, prec)
+        else:
+            digits += b"1"
+            m += 1
+            yv = p2.value(m, prec)
+    return digits, n, m
+
+
+def _head_index(p: PerturbedProgression, tol, N: int) -> int:
+    """First n >= 1 with |coeff| base^n <= tol (N + 2, never reached, for tol <= 0)."""
+    if not p._geometric:
+        return 1
+    if tol <= 0:
+        return N + 2
+    c, b = abs(mpf(p.coeff)), mpf(p.base)
+    n = max(1, int(mp.ceil(mp.log(c / tol) / -mp.log(b))))
+    while c * b ** n > tol:
+        n += 1
+    return n
+
+
+def _grid_ceil(v, e: int) -> int:
+    """ceil(v / 2^e) for an mpf v >= 0."""
+    man, ex = v.man_exp
+    return man << (ex - e) if ex >= e else -(-man >> (e - ex))
+
+
+def _staircase_tail(p1, p2, n: int, m: int, count: int, tol, prec: Precision) -> Optional[bytearray]:
+    """The next count digits from indices (n, m) in exact integers, or None near a tie.
+
+    With step and free rounded as value() rounds them, the arithmetic
+    parts are s n + f and t m + g on one grid 2^e, and the X letters
+    below y_m number q = (K - 1) // s with K = t m + g - f (the Beatty
+    staircase).  Each value() lies within the geometric bound at (n, m)
+    plus a few roundings of its arithmetic part, so the merge loop emits
+    the same letters without a tie when both X values around every Y lie
+    farther than margin = tol + that bound + 16 ulps of the largest value.
+    """
+    vals = [mpf(v) for v in (p1.step, p1.free, p2.step, p2.free)]
+    e = min(v.exp for v in vals if v)
+    s, f, t, g = (int(mp.ldexp(v, -e)) for v in vals)
+    geo = sum(2 * abs(mpf(p.coeff)) * mpf(p.base) ** i for p, i in ((p1, n), (p2, m)) if p._geometric)
+    geo = _grid_ceil(mpf(geo), e)
+    big = max(s * (n + count) + abs(f), t * (m + count) + abs(g)) + geo
+    margin = _grid_ceil(max(tol, 0), e) + geo + (1 << max(0, big.bit_length() + 4 - prec.bits))
+    digits = bytearray(b"0") * count
+    K = t * m + g - f
+    x_last, r_hi, i = n - 1, s - 1 - margin, 0
+    while i < count:
+        q, r = divmod(K - 1, s)
+        if not margin <= r < r_hi:
+            if (q >= n and r < margin) or (s - 1 - r if q >= 0 else s - K) <= margin:
+                return None
+        if q > x_last:
+            i += q - x_last
+            x_last = q
+        if i >= count:
+            break
+        digits[i] = _Y_DIGIT
+        i += 1
+        K += t
+    return digits
 
 
 def interleaving_word(p1, p2, N: int, prec: Precision, tie_tol=None) -> InterleavingWord:
     """First N letters of the ascending merge of {x_n} and {y_m}, n, m >= 1.
 
     A collision within tie_tol (default prec.tol) has no well-defined
-    order and raises TieError with the colliding indices.
+    order and raises TieError with the colliding indices.  For two
+    PerturbedProgressions the merge loop runs only until both geometric
+    terms are below tie_tol; the rest is the exact staircase of the
+    arithmetic parts.  Near a tie the whole word is rebuilt by the merge
+    loop, so the letters, or the TieError, are always the merge loop's.
     """
     if N < 0:
         raise InvalidInputError(f"need N >= 0 letters, got {N}")
     with prec.work():
         tol = mpf(tie_tol) if tie_tol is not None else mpf(prec.tol)
-        letters = []
-        n, m = 1, 1
-        xv, yv = p1.value(1, prec), p2.value(1, prec)
-        for _ in range(N):
-            if abs(xv - yv) <= tol:
-                raise TieError(
-                    f"x_{n} = {xv} and y_{m} = {yv} collide within {tol}", n=n, m=m
-                )
-            if xv < yv:
-                letters.append("X")
-                n += 1
-                xv = p1.value(n, prec)
-            else:
-                letters.append("Y")
-                m += 1
-                yv = p2.value(m, prec)
-        return InterleavingWord(letters="".join(letters))
+        tail = None
+        if isinstance(p1, PerturbedProgression) and isinstance(p2, PerturbedProgression):
+            stop = (_head_index(p1, tol, N), _head_index(p2, tol, N))
+            head, n, m = _merge(p1, p2, N, tol, prec, stop)
+            tail = _staircase_tail(p1, p2, n, m, N - len(head), tol, prec)
+        if tail is None:
+            head, tail = _merge(p1, p2, N, tol, prec)[0], b""
+        return InterleavingWord._from_digits(head + tail)
 
 
 @dataclass(frozen=True)
@@ -287,23 +387,24 @@ def reconstruct_invariants(word: InterleavingWord, prec: Precision) -> WordRecon
     interval reported is its projection (midpoint + width).  An empty
     region means the word is not an interleaving of any such pair.
     """
-    if len(word.letters) < 100:
-        raise InvalidInputError(f"need at least 100 letters, got {len(word.letters)}")
-    cs_list = word.staircase()
     nx, ny = word.x_count, word.y_count
+    if nx + ny < 100:
+        raise InvalidInputError(f"need at least 100 letters, got {nx + ny}")
     if nx == 0 or ny == 0:
         raise InvalidInputError("word must contain both letters")
     ms = np.arange(1, ny + 1, dtype=np.float64)
-    cs = np.asarray(cs_list, dtype=np.float64)
-    upper_mask = cs >= 1
+    cs = word._staircase().astype(np.float64)
+    cs_next = cs + 1.0
+    upper = cs >= 1
+    ms_up, cs_up = ms[upper], cs[upper]
 
     def L(a: float) -> float:
-        return float(np.max(ms - a * (cs + 1.0)))
+        return float(np.max(ms - a * cs_next))
 
     def U(a: float) -> float:
-        if not upper_mask.any():
+        if not ms_up.size:
             return float("inf")
-        return float(np.min(ms[upper_mask] - a * cs[upper_mask]))
+        return float(np.min(ms_up - a * cs_up))
 
     def gap(a: float) -> float:
         return L(a) - U(a)

@@ -235,6 +235,19 @@ def test_liouville_extreme_spec_values_exit_documented_code(tmp_path, capsys, fi
         assert out == "" and json.loads(err)["exit_code"] == code
 
 
+def test_liouville_tiny_xi_names_sufficient_bits(tmp_path, capsys):
+    # Windows scale with |Xi|: the bit estimate once ignored it, so this spec
+    # underflowed a window at 256 bits and then named 140 required bits.
+    spec = json.loads((pathlib.Path(__file__).parent / "golden" / "inputs" / "spec.json").read_text())
+    path = jfile(tmp_path, "spec.json", dict(spec, Xi="1e-400"))
+    code, out, err = run(capsys, "liouville", path, "--depth", "1")
+    diag = json.loads(err)
+    assert code == 5 and out == ""
+    assert diag["required_bits"] > 1400 and "underflows" not in diag["message"]
+    code, out, _ = run(capsys, "liouville", path, "--depth", "1", "--bits", str(diag["required_bits"]))
+    assert code == 0 and json.loads(out)["verify"]["ok"] is True
+
+
 def test_liouville_seed_changes_A(tmp_path, capsys):
     path = jfile(tmp_path, "spec.json", TOY_SPEC)
     _, out0, _ = run(capsys, "liouville", path, "--seed", "0")

@@ -1,6 +1,7 @@
 """Progression pairs: invariants, shifts, interleaving words, reconstruction."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from polylab import (
     InvalidInputError,
     PairInvariants,
     PerturbedProgression,
+    Precision,
     SearchBounds,
     ShiftPair,
     TieError,
@@ -23,10 +25,13 @@ from polylab import (
     interleaving_word,
     irrationality_report,
     pair_invariants,
+    progression_model,
     reconstruct_invariants,
     relative_scale_from_progressions,
     words_equivalent_up_to_shift,
 )
+from polylab.heart import _Table, _table_letters
+from tests.conftest import random_family
 
 
 def test_pair_invariants_simple(prec):
@@ -312,3 +317,183 @@ def test_staircase_shape_property(letters):
     assert len(c) == w.y_count
     assert all(b >= a for a, b in zip(c, c[1:]))
     assert all(0 <= v <= w.x_count for v in c)
+
+
+# ------------------------------------------------ exact staircase and packing
+
+def merge_oracle(p1, p2, N, prec, tie_tol=None):
+    """The one-letter-at-a-time merge loop that interleaving_word replaced, verbatim."""
+    with prec.work():
+        tol = mpf(tie_tol) if tie_tol is not None else mpf(prec.tol)
+        letters = []
+        n, m = 1, 1
+        xv, yv = p1.value(1, prec), p2.value(1, prec)
+        for _ in range(N):
+            if abs(xv - yv) <= tol:
+                raise TieError(
+                    f"x_{n} = {xv} and y_{m} = {yv} collide within {tol}", n=n, m=m
+                )
+            if xv < yv:
+                letters.append("X")
+                n += 1
+                xv = p1.value(n, prec)
+            else:
+                letters.append("Y")
+                m += 1
+                yv = p2.value(m, prec)
+        return "".join(letters)
+
+
+def _outcome(build, p1, p2, N, prec, tie_tol):
+    """The letters, or ("tie", n, m) for a TieError."""
+    try:
+        word = build(p1, p2, N, prec, tie_tol=tie_tol)
+    except TieError as exc:
+        return ("tie", exc.n, exc.m)
+    return word if isinstance(word, str) else word.letters
+
+
+def _word_cases(bits):
+    """(p1, p2, N, tie_tol) at one precision: 74 seeded pairs of every kind."""
+    rng = random.Random(bits)
+    prec = Precision(bits=bits)
+    AP = ArithmeticProgression
+    compare_tol = mpf(prec.tol) * mpf(2) ** (-bits // 4)
+    cases = []
+    with prec.work():
+        # irrational densities, both progressions random
+        for N in (0, 1, 10, 2000, 10 ** 4, 0, 1, 10, 2000, 0, 1, 10, 2000, 0, 1, 10, 2000):
+            x = AP(step=mp.sqrt(rng.randint(2, 99)) * rng.choice((1, 0.1, 3)),
+                   free=mpf(rng.uniform(-3, 3)))
+            y = AP(step=mpf(rng.uniform(0.2, 3)), free=mpf(rng.uniform(-3, 3)))
+            cases.append((x, y, N, None))
+        # small rationals: exact ties and ties from rounding 1/3
+        for a, b, c, d in ((1, 2, 0, 1), (1, 3, 0, 1), (2, 3, 1, 3), (3, 2, 1, 2), (2, 1, 0, 1),
+                           (3, 1, 1, 2), (1, 1, 1, 2), (3, 4, 1, 4), (4, 3, 1, 5), (1, 4, 1, 8),
+                           (5, 2, 1, 3), (2, 5, 0, 1)):
+            x = AP(step=mpf(a) / b, free=mpf(c) / d)
+            cases.append((x, AP(step=1, free=0), rng.choice((10, 200, 2000)), None))
+        # near-ties: x_{n*} - y_{m*} = +-(tie_tol + k ulps)
+        for k in (-3, -2, -1, 0, 1, 2, 3) * 2:
+            tie_tol = rng.choice((None, compare_tol))
+            t = mpf(prec.tol) if tie_tol is None else tie_tol
+            A = mp.sqrt(rng.randint(2, 30))
+            n_star = rng.randint(1, 100)
+            m_star = int(mp.floor(A * n_star)) + 2
+            ulp = mpf(2) ** (mp.mag(m_star) - bits)
+            free = m_star - A * n_star + rng.choice((1, -1)) * (t + k * ulp)
+            cases.append((AP(step=A, free=free), AP(step=1, free=0), n_star + m_star + 10, tie_tol))
+        # near-ties just past a geometric head, closed only by the geometric term
+        for sign in (1, -1, 1, -1):
+            t = mpf(prec.tol)
+            A, b = mp.sqrt(rng.randint(2, 30)), mpf(rng.uniform(0.4, 0.8))
+            C = -sign * mpf(rng.uniform(0.5, 2))
+            n_star = 1 + next(n for n in range(1, 10 ** 4) if abs(C) * b ** n <= t)
+            m_star = int(mp.floor(A * n_star)) + 2
+            free = m_star - A * n_star + sign * (t + abs(C) * b ** n_star / 2)
+            x = PerturbedProgression(step=A, free=free, coeff=C, base=b)
+            cases.append((x, AP(step=1, free=0), n_star + m_star + 10, None))
+        # geometric heads, on one or both sides
+        for N in (10, 300, 2000, 300, 2000, 300, 1, 300, 10, 2000):
+            coeff = [rng.choice((1, -1)) * mpf(rng.uniform(0.01, 3)) for _ in range(2)]
+            side = rng.choice(((1, 0), (0, 1), (1, 1)))
+            x = PerturbedProgression(step=mpf(rng.uniform(0.2, 3)), free=mpf(rng.uniform(-1, 1)),
+                                     coeff=coeff[0] * side[0], base=mpf(rng.uniform(0.3, 0.95)))
+            y = PerturbedProgression(step=mpf(rng.uniform(0.2, 3)), free=mpf(rng.uniform(-1, 1)),
+                                     coeff=coeff[1] * side[1], base=mpf(rng.uniform(0.3, 0.95)))
+            cases.append((x, y, N, rng.choice((None, compare_tol))))
+        # heart model pairs, at the default tolerance and at compare's
+        for i in range(8):
+            x, y = progression_model(random_family(rng, prec), prec)
+            cases.append((x, y, (300, 2000)[i % 2], None))
+            cases.append((x, y, (2000, 300)[i % 2], compare_tol))
+        # a solver table, which only the merge loop reads
+        x, y = progression_model(random_family(rng, prec), prec)
+        tx, ty = (_Table((n, p.value(n, prec)) for n in range(1, 200)) for p in (x, y))
+        cases.append((tx, ty, _table_letters(tx, ty), compare_tol))
+    return prec, cases
+
+
+@pytest.mark.parametrize("bits", [64, 96, 256])
+def test_interleaving_word_is_bit_identical_to_merge_loop(bits):
+    prec, cases = _word_cases(bits)
+    assert len(cases) == 74
+    ties = 0
+    for p1, p2, N, tie_tol in cases:
+        want = _outcome(merge_oracle, p1, p2, N, prec, tie_tol)
+        assert _outcome(interleaving_word, p1, p2, N, prec, tie_tol) == want
+        ties += isinstance(want, tuple)
+    assert 5 <= ties <= 40
+
+
+def _count_values(monkeypatch):
+    calls = [0]
+    value = PerturbedProgression.value
+
+    def counted(self, n, prec):
+        calls[0] += 1
+        return value(self, n, prec)
+
+    monkeypatch.setattr(PerturbedProgression, "value", counted)
+    return calls
+
+
+def test_arithmetic_word_makes_constant_value_calls(monkeypatch):
+    calls = _count_values(monkeypatch)
+    prec = Precision(bits=96)
+    with prec.work():
+        x = ArithmeticProgression(step=mp.sqrt(2), free=mpf("0.3"))
+    word = interleaving_word(x, ArithmeticProgression(step=1, free=0), 10 ** 5, prec)
+    assert word.x_count + word.y_count == 10 ** 5
+    assert abs(word.y_count / word.x_count - 2 ** 0.5) < 1e-3
+    assert calls[0] <= 4
+
+
+def test_model_word_value_calls_stop_at_the_head(monkeypatch):
+    calls = _count_values(monkeypatch)
+    rng = random.Random(6)
+    prec, wp = Precision(bits=256), Precision(bits=96)
+    for _ in range(50):
+        x, y = progression_model(random_family(rng, prec), prec)
+        calls[0] = 0
+        word = interleaving_word(x, y, 10 ** 4, wp)
+        assert word.x_count + word.y_count == 10 ** 4
+        assert calls[0] <= 1000
+
+
+@given(st.text(alphabet="XY", max_size=300))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_packed_letters_round_trip(letters):
+    w = InterleavingWord(letters=letters)
+    assert w.letters == letters
+    assert (w.x_count, w.y_count) == (letters.count("X"), letters.count("Y"))
+    assert InterleavingWord(letters=letters) == w
+    assert hash(InterleavingWord(letters=letters)) == hash(w)
+
+
+def test_packed_letters_edge_words():
+    for letters in ("", "X", "Y", "XXXY", "X" * 1000, "Y" * 1000, "XY" * 4096):
+        w = InterleavingWord(letters=letters)
+        assert w.letters == letters
+        assert len(w.staircase()) == letters.count("Y")
+    assert InterleavingWord(letters="XY") != InterleavingWord(letters="Y")
+    assert InterleavingWord(letters="") != InterleavingWord(letters="X")
+    assert len({InterleavingWord(letters="XXY"), InterleavingWord(letters="XXY")}) == 1
+
+
+@pytest.mark.parametrize("letters", ["XZ", "01", "x", "X Y", "X_Y", "Y\n", "XYİ"])
+def test_packed_letters_reject_other_alphabets(letters):
+    with pytest.raises(InvalidInputError):
+        InterleavingWord(letters=letters)
+
+
+def test_packed_word_costs_one_bit_per_letter():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        word = InterleavingWord(letters="XYXXY" * 200_000)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert word.x_count == 600_000
+    assert kept < 200_000

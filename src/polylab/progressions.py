@@ -15,6 +15,7 @@ term coeff * base^n + o(base^n) that never changes the letter order for
 large indices but pins finer invariants.
 """
 
+import zlib
 from dataclasses import dataclass, field
 from statistics import median
 from typing import Any, Iterator, List, Optional, Tuple
@@ -33,7 +34,7 @@ from .errors import (
 from .numerics import Precision, _check_finite, _differences
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerturbedProgression:
     """x_n = step * n + free + coeff * base^n for n >= 1; coeff = 0 is arithmetic."""
 
@@ -64,7 +65,7 @@ class PerturbedProgression:
 ArithmeticProgression = PerturbedProgression
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairInvariants:
     A: Any
     tau: Any
@@ -77,7 +78,7 @@ def pair_invariants(p1, p2, prec: Precision) -> PairInvariants:
         return PairInvariants(A=mpf(p1.step) / s2, tau=(mpf(p1.free) - mpf(p2.free)) / s2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShiftPair:
     s: int
     p: int
@@ -155,26 +156,37 @@ _NOT_LETTERS = str.maketrans("", "", "XY")
 _Y_DIGIT = ord("1")
 
 
+def _deflate(bits: int) -> bytes:
+    return zlib.compress(bits.to_bytes((bits.bit_length() + 7) // 8, "big"))
+
+
 @dataclass(frozen=True, init=False, repr=False, slots=True)
 class InterleavingWord:
-    """Merge order of two progressions as letters X/Y, stored at one bit per letter.
+    """Merge order of two progressions as letters X/Y, stored deflated.
 
     The letters are the binary digits of one integer after its leading 1,
-    0 for X and 1 for Y, so a word of L letters costs about L/8 bytes.
+    0 for X and 1 for Y, and the integer is kept zlib-compressed.  A word
+    of L letters costs at most about L/8 bytes; the order word of an
+    irrational density is Sturmian (n + 1 factors of length n) and
+    deflates to about 80 bytes per 10^4 letters.
     """
 
-    _bits: int
+    _z: bytes
 
     def __init__(self, letters: str = ""):
         if not isinstance(letters, str) or letters.translate(_NOT_LETTERS):
             raise InvalidInputError("letters must be over the alphabet {X, Y}")
-        object.__setattr__(self, "_bits", int("1" + letters.translate(_TO_BITS), 2))
+        object.__setattr__(self, "_z", _deflate(int("1" + letters.translate(_TO_BITS), 2)))
 
     @classmethod
     def _from_digits(cls, digits: bytes) -> "InterleavingWord":
         word = object.__new__(cls)
-        object.__setattr__(word, "_bits", int(b"1" + digits, 2))
+        object.__setattr__(word, "_z", _deflate(int(b"1" + digits, 2)))
         return word
+
+    @property
+    def _bits(self) -> int:
+        return int.from_bytes(zlib.decompress(self._z), "big")
 
     def _digits(self) -> str:
         return bin(self._bits)[3:]
@@ -189,15 +201,17 @@ class InterleavingWord:
 
     @property
     def x_count(self) -> int:
-        return self._bits.bit_length() - 1 - self.y_count
+        bits = self._bits
+        return bits.bit_length() - bits.bit_count()
 
     def staircase(self) -> List[int]:
         """c[j] = number of X letters preceding the (j+1)-th Y letter; exact per prefix."""
         return self._staircase().tolist()
 
     def _staircase(self) -> np.ndarray:
-        c = np.flatnonzero(np.frombuffer(self._digits().encode("ascii"), np.uint8) == _Y_DIGIT)
-        c -= np.arange(len(c))
+        ys = np.flatnonzero(np.unpackbits(np.frombuffer(zlib.decompress(self._z), np.uint8)))
+        c = ys[1:]      # ys[0] is the leading 1
+        c -= np.arange(ys[0] + 1, ys[0] + len(ys))
         return c
 
     def __repr__(self) -> str:
@@ -310,7 +324,7 @@ def interleaving_word(p1, p2, N: int, prec: Precision, tie_tol=None) -> Interlea
         return InterleavingWord._from_digits(head + tail)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WordShiftVerdict:
     equivalent: bool
     first_disagreement: Optional[Tuple[int, int]]
@@ -355,7 +369,7 @@ def words_equivalent_up_to_shift(
     return WordShiftVerdict(equivalent=True, first_disagreement=None, overlap_letters=overlap)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WordReconstruction:
     invariants: PairInvariants
     A_interval: Tuple[Any, Any]
@@ -378,6 +392,43 @@ def _ternary(f, lo: float, hi: float, minimize: bool, iters: int = 200):
     return x, f(x)
 
 
+_HULL_BLOCK = 4096
+
+
+def _upper_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the integer points (x strictly increasing) on the upper hull, edges included.
+
+    max(y - a x) over all points equals the max over these for every a,
+    and any other point falls short by at least 1/(x[-1] - x[0]).  The
+    tests are exact int64 cross products (quickhull).  Long inputs are
+    first cut to the hulls of blocks of _HULL_BLOCK points, which bounds
+    the scratch arrays; the hull of those hulls is the hull of all.
+    """
+    if len(x) > _HULL_BLOCK:
+        idx = np.concatenate([k + _upper_hull(x[k:k + _HULL_BLOCK], y[k:k + _HULL_BLOCK])
+                              for k in range(0, len(x), _HULL_BLOCK)])
+        if len(idx) < len(x):
+            return idx[_upper_hull(x[idx], y[idx])]
+    keep = [0, len(x) - 1]
+    stack = [(0, len(x) - 1, np.arange(1, len(x) - 1))]
+    while stack:
+        i, j, cand = stack.pop()
+        if not cand.size:
+            continue
+        d = y[cand] - y[i]
+        d *= x[j] - x[i]
+        d -= (x[cand] - x[i]) * (y[j] - y[i])
+        if d.max() <= 0:
+            keep.extend(cand[d == 0].tolist())
+            continue
+        f = int(cand[np.argmax(d)])
+        cand = cand[d > 0]
+        keep.append(f)
+        stack.append((i, f, cand[cand < f]))
+        stack.append((f, j, cand[cand > f]))
+    return np.array(sorted(set(keep)), dtype=np.int64)
+
+
 def reconstruct_invariants(word: InterleavingWord, prec: Precision) -> WordReconstruction:
     """Recover (A, tau) from letters alone (unperturbed source, length >= 100).
 
@@ -392,11 +443,21 @@ def reconstruct_invariants(word: InterleavingWord, prec: Precision) -> WordRecon
         raise InvalidInputError(f"need at least 100 letters, got {nx + ny}")
     if nx == 0 or ny == 0:
         raise InvalidInputError("word must contain both letters")
-    ms = np.arange(1, ny + 1, dtype=np.float64)
-    cs = word._staircase().astype(np.float64)
-    cs_next = cs + 1.0
-    upper = cs >= 1
-    ms_up, cs_up = ms[upper], cs[upper]
+    # L and U below are evaluated some 1,300 times, so each runs over the
+    # hull points of its constraints only: the largest m of each c for L
+    # (upper hull), the smallest m of each c >= 1 for U (lower hull).
+    # A dropped constraint falls short by at least 1/#X, which exceeds the
+    # float64 rounding of m - a c up to about 10^7 letters, so L and U keep
+    # their values bit for bit.
+    # Index j holds the constraint of m = j + 1; the hull of (c, j) is that of (c, m).
+    c = word._staircase()
+    run_start = np.r_[True, c[1:] != c[:-1]]
+    last = np.flatnonzero(np.r_[run_start[1:], True])
+    lo_pts = last[_upper_hull(c[last], last)]
+    first = np.flatnonzero(run_start & (c >= 1))
+    up_pts = first[_upper_hull(c[first], -first)] if first.size else first
+    ms, cs_next = lo_pts + 1.0, c[lo_pts] + 1.0
+    ms_up, cs_up = up_pts + 1.0, c[up_pts].astype(np.float64)
 
     def L(a: float) -> float:
         return float(np.max(ms - a * cs_next))

@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,7 @@ from polylab import (
     words_equivalent_up_to_shift,
 )
 from polylab.heart import _Table, _table_letters
+from polylab.progressions import _upper_hull
 from tests.conftest import random_family
 
 
@@ -256,6 +258,54 @@ def test_reconstruct_shifted_free_term(prec):
         assert lo <= mpf("1.3") <= hi
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=80), st.floats(-4, 4))
+def test_upper_hull_keeps_every_binding_point(ys, a):
+    # The support max(y - a x) over the hull points is the max over all
+    # points, bit for bit, and the first and last points are kept.
+    x = np.arange(len(ys), dtype=np.int64) * 3
+    y = np.array(ys, dtype=np.int64)
+    idx = _upper_hull(x, y)
+    assert idx[0] == 0 and idx[-1] == len(ys) - 1
+    xf, yf = x.astype(np.float64), y.astype(np.float64)
+    assert np.max(yf[idx] - a * xf[idx]) == np.max(yf - a * xf)
+
+
+@pytest.mark.parametrize("kind", ["walk", "line"])
+def test_upper_hull_of_long_inputs_goes_through_blocks(kind):
+    # Over 4096 points the hull is taken of the block hulls; on a line
+    # every point stays on the hull.
+    rng = np.random.default_rng(5)
+    x = np.cumsum(rng.integers(1, 4, 20000))
+    y = rng.integers(-3, 4, 20000).cumsum() if kind == "walk" else 3 * x + 7
+    idx = _upper_hull(x, y)
+    if kind == "line":
+        assert len(idx) == len(x)
+    xf, yf = x.astype(np.float64), y.astype(np.float64)
+    for a in (-2.5, -0.1, 0.0, 0.7, 3.0, 11.0):
+        assert np.max(yf[idx] - a * xf[idx]) == np.max(yf - a * xf)
+
+
+def test_reconstruct_invariants_sees_only_the_hull_on_long_words(prec):
+    # A Sturmian staircase has O(log N) hull points: 10^5 letters leave
+    # 14 constraints for the searches of L, not ~4*10^4.
+    with prec.work():
+        word = interleaving_word(
+            ArithmeticProgression(step=(1 + mp.sqrt(5)) / 2, free="0.3"),
+            ArithmeticProgression(step=1, free=0),
+            10 ** 5,
+            Precision(bits=96),
+        )
+    c = word._staircase()
+    last = np.flatnonzero(np.r_[c[1:] != c[:-1], True])
+    assert len(last) > 30000
+    assert len(_upper_hull(c[last], last + 1)) < 60
+    rec = reconstruct_invariants(word, prec)
+    with prec.work():
+        assert abs(rec.invariants.A - (1 + mp.sqrt(5)) / 2) < mpf(10) ** -4
+        assert rec.tau_interval[0] <= mpf("0.3") <= rec.tau_interval[1]
+
+
 def test_reconstruct_needs_long_word(prec):
     with pytest.raises(InvalidInputError):
         reconstruct_invariants(InterleavingWord(letters="XY" * 20), prec)
@@ -317,6 +367,7 @@ def test_staircase_shape_property(letters):
     assert len(c) == w.y_count
     assert all(b >= a for a, b in zip(c, c[1:]))
     assert all(0 <= v <= w.x_count for v in c)
+    assert c == [letters[:i].count("X") for i, ch in enumerate(letters) if ch == "Y"]
 
 
 # ------------------------------------------------ exact staircase and packing
@@ -485,6 +536,19 @@ def test_packed_letters_edge_words():
 def test_packed_letters_reject_other_alphabets(letters):
     with pytest.raises(InvalidInputError):
         InterleavingWord(letters=letters)
+
+
+def test_order_word_of_irrational_density_deflates(prec):
+    # Sturmian: 10^5 letters keep well under a kilobyte, not 12.5 KB.
+    with prec.work():
+        word = interleaving_word(
+            ArithmeticProgression(step=mp.sqrt(2), free="0.3"),
+            ArithmeticProgression(step=1, free=0),
+            10 ** 5,
+            Precision(bits=96),
+        )
+    assert len(word._z) < 1000
+    assert InterleavingWord(letters=word.letters) == word
 
 
 def test_packed_word_costs_one_bit_per_letter():

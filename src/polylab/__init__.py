@@ -30,23 +30,15 @@ from .numerics import (
     LogValue,
     Precision,
     default_bits,
-    default_precision,
-    from_double_log,
     neg_log_add,
-    to_double_log,
 )
 from .monodromy import (
     PerturbedPowerFamily,
     PowerMap,
-    SandwichBounds,
-    SandwichGrid,
-    SandwichReport,
     apply_family_log,
     apply_log,
-    check_psi_origin,
     closed_iterate,
     envelope_profile,
-    sandwich_check,
 )
 from .connections import (
     AsymptoticModel,
@@ -59,7 +51,6 @@ from .connections import (
     recover_parameters,
     residual_analysis,
     solve_connection,
-    synthetic_sequence,
     theta,
 )
 from .progressions import (
@@ -71,7 +62,6 @@ from .progressions import (
     ShiftPair,
     WordReconstruction,
     equivalent_pairs,
-    estimate_base,
     interleaving_word,
     irrationality_report,
     pair_invariants,

@@ -14,7 +14,7 @@ asymptotic model back out of data.
 
 from dataclasses import dataclass
 from statistics import median
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Tuple
 
 from mpmath import mp, mpf
 
@@ -27,7 +27,7 @@ from .errors import (
     ModelViolationError,
 )
 from .monodromy import PerturbedPowerFamily, _step_log
-from .numerics import DoubleLogValue, Precision, _absorb_cap, _check_finite, _differences
+from .numerics import DoubleLogValue, Precision, _absorb_cap, _check_finite
 
 
 def _mark_terms(C, nu, B, name: str = "B"):
@@ -278,24 +278,6 @@ def generate_sequence(prob: ConnectionProblem, N: int, prec: Precision) -> Conne
     return ConnectionSequence(entries=tuple(entries))
 
 
-def synthetic_sequence(
-    model: AsymptoticModel,
-    N: int,
-    prec: Precision,
-    extra: Optional[Callable[[int], Any]] = None,
-    n_start: int = 0,
-) -> ConnectionSequence:
-    """Exact model data (plus an optional injected term) for fitting tests."""
-    entries = []
-    with prec.work():
-        for n in range(n_start, n_start + N + 1):
-            z = model.predict(n, prec)
-            if extra is not None:
-                z = z + mpf(extra(n))
-            entries.append(ConnectionEntry(n=n, z=z, bracket_width=mpf(0)))
-    return ConnectionSequence(entries=tuple(entries))
-
-
 def bracket_double_logs(prob: ConnectionProblem, n: int, z_n, k, prec: Precision):
     """Closed-form straddle of z_n from the envelope maps.
 
@@ -405,7 +387,8 @@ def recover_parameters(seq: ConnectionSequence, prec: Precision) -> RecoveryRepo
         if any(ns[i + 1] - ns[i] != 1 for i in range(len(ns) - 1)):
             raise InvalidInputError("entries must have consecutive indices")
         zs = [mpf(e.z) for e in seq.entries]
-        d1, d2 = _differences(zs)
+        d1 = [b - a for a, b in zip(zs, zs[1:])]
+        d2 = [b - a for a, b in zip(d1, d1[1:])]
         zmax = max(abs(z) for z in zs)
         floor = 16 * (max(mpf(e.bracket_width) for e in seq.entries) + zmax * mpf(2) ** (4 - prec.bits))
 

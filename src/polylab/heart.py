@@ -25,7 +25,7 @@ from mpmath import mp, mpf
 from . import connections as conn
 from .errors import InvalidInputError, RangeError, SolverError
 from .monodromy import PerturbedPowerFamily
-from .numerics import Precision, _check_finite
+from .numerics import Precision, _check_finite, _nearest
 from .progressions import (
     PairInvariants,
     PerturbedProgression,
@@ -126,11 +126,9 @@ def _joint_residual(x, alpha, gamma) -> Tuple[Any, int, int]:
     """(r, s, k) minimizing r = |x - s ln nu2 - k ln nu1| over |k| <= JOINT_SHIFT_BOUND."""
     best = None
     for k in range(-JOINT_SHIFT_BOUND, JOINT_SHIFT_BOUND + 1):
-        xk = x - k * -alpha
-        s = int(mp.nint(xk / -gamma))
-        r = abs(xk - s * -gamma)
-        if best is None or r < best[0]:
-            best = (r, s, k)
+        s, r = _nearest(x - k * -alpha, -gamma)
+        if best is None or abs(r) < best[0]:
+            best = (abs(r), s, k)
     return best
 
 
@@ -275,8 +273,7 @@ def _xi_congruence(inv1: InvariantReport, inv2: InvariantReport, prec: Precision
         out = {"Xi1": inv1.Xi, "Xi2": inv2.Xi, "defined": True,
                "ln_ratio": d, "ratio": mp.exp(d) * mp.sign(inv2.Xi) * mp.sign(inv1.Xi)}
         for label, step in (("step2", inv1.gamma), ("step1", inv1.alpha)):
-            s = int(mp.nint(d / step))
-            r = d - s * step
+            s, r = _nearest(d, step)
             out[f"res_{label}"] = r
             out[f"res_{label}_turns"] = s
             out[f"match_{label}"] = bool(abs(r) <= prec.tol * max(1, abs(d)))

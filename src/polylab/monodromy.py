@@ -97,15 +97,6 @@ class PerturbedPowerFamily:
         return PowerMap(C=self.C, nu=self.Lambda0)
 
 
-def check_psi_origin(fam: PerturbedPowerFamily, prec: Precision, tol=None) -> bool:
-    """Evaluate the declared normalization psi(0, 0) = 0."""
-    if fam.psi is None:
-        return True
-    with prec.work():
-        val = mpf(fam.psi(mpf(0), mpf(0)))
-        return abs(val) <= (tol if tol is not None else prec.tol)
-
-
 def apply_family_log(
     fam: PerturbedPowerFamily,
     eps_z: Optional[DoubleLogValue],
@@ -144,47 +135,6 @@ def _step_log(y, lam, lnC, E, eps, psi, cap):
     return _log_sum(lam * y - lnC, yb, cap)
 
 
-@dataclass(frozen=True)
-class SandwichBounds:
-    """Envelope constants: (C - k eps^(1-L)) x^L < f_eps(x) < (C + k eps^(1-L)) x^L.
-
-    Valid on eps < x < x0 (or eps/2 < x when halved_domain is set on the
-    grid); L is the frozen exponent Lambda(0).
-    """
-
-    k: Any
-    x0: Any
-
-    def __post_init__(self):
-        if not (mpf(self.k) > 0):
-            raise InvalidInputError(f"k must be positive, got {self.k}")
-        if not (0 < mpf(self.x0) < 1):
-            raise InvalidInputError(f"x0 must lie in (0, 1), got {self.x0}")
-
-
-@dataclass(frozen=True)
-class SandwichGrid:
-    """Sampling plan: for each eps, x runs log-spaced over (lower, x0)."""
-
-    eps_values: Sequence[Any]
-    x_count: int = 32
-    halved_domain: bool = False
-
-    def __post_init__(self):
-        if self.x_count < 1:
-            raise InvalidInputError("x_count must be >= 1")
-        if not self.eps_values:
-            raise InvalidInputError("grid needs at least one eps sample")
-
-
-@dataclass(frozen=True)
-class SandwichReport:
-    passed: bool
-    max_violation: Any          # max over grid of deviation - k eps^(1-L); <= 0 passes
-    max_normalized_violation: Any
-    empirical_k: Any            # smallest constant that would have passed this grid
-
-
 def _deviation(fam: PerturbedPowerFamily, eps, x, L0, prec: Precision):
     """|f_eps(x) / x^L0 - C| computed through the log chart."""
     y = LogValue.from_x(x, prec)
@@ -194,33 +144,6 @@ def _deviation(fam: PerturbedPowerFamily, eps, x, L0, prec: Precision):
         # ln(f / (C x^L0)) = L0 * y - yf - ln C ... then C*(ratio - 1)
         lnratio = L0 * mpf(y.y) - mpf(yf.y) - mp.log(mpf(fam.C))
         return abs(mpf(fam.C) * mp.expm1(lnratio))
-
-
-def sandwich_check(
-    fam: PerturbedPowerFamily,
-    bounds: SandwichBounds,
-    grid: SandwichGrid,
-    prec: Precision,
-) -> SandwichReport:
-    """Verify the power-map envelope on the sampling grid.
-
-    Reports the worst signed violation (negative means the bound held
-    with room to spare) and the empirical minimal k for this grid.
-    Both are monotone in the deviation, so each eps's k_hat decides them.
-    """
-    profile = envelope_profile(fam, grid.eps_values, bounds.x0, prec,
-                               grid.x_count, grid.halved_domain)
-    with prec.work():
-        L0 = mpf(fam.Lambda0)
-        k = to_mpf(bounds.k, prec)
-        allowances = [k * ev ** (1 - L0) for ev, _, _ in profile]
-        excess = [khat - a for (_, khat, _), a in zip(profile, allowances)]
-        return SandwichReport(
-            passed=bool(max(excess) < 0),
-            max_violation=max(excess),
-            max_normalized_violation=max(e / a for e, a in zip(excess, allowances)),
-            empirical_k=max(k_norm for _, _, k_norm in profile),
-        )
 
 
 def envelope_profile(
@@ -233,9 +156,14 @@ def envelope_profile(
 ):
     """Per-eps minimal envelope constants.
 
-    Returns [(eps, k_hat, k_hat / eps^(1-L0))]; the third entry staying
-    bounded as eps shrinks is the O(eps^(1-Lambda)) envelope scaling.
+    k_hat is the smallest k with (C - k) x^L0 <= f_eps(x) <= (C + k) x^L0
+    on x_count log-spaced points of (eps, x0), or of (eps/2, x0) with
+    halved_domain.  Returns [(eps, k_hat, k_hat / eps^(1-L0))]; the third
+    entry staying bounded as eps shrinks is the O(eps^(1-Lambda))
+    envelope scaling.
     """
+    if x_count < 1:
+        raise InvalidInputError(f"x_count must be >= 1, got {x_count}")
     out = []
     with prec.work():
         L0 = mpf(fam.Lambda0)

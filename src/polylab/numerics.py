@@ -58,10 +58,6 @@ class Precision:
         return mp.workprec(self.bits)
 
 
-def default_precision() -> Precision:
-    return Precision(bits=default_bits())
-
-
 def to_mpf(x, prec: Precision):
     """Convert x (mpf, int, float, or decimal string) at working precision."""
     with prec.work():
@@ -161,30 +157,8 @@ def _log_sum(ya, yb, cap):
     return lo - corr
 
 
-def to_double_log(y: LogValue, prec: Precision) -> DoubleLogValue:
-    """Map y = -ln x to z = ln y.  Requires y > 0, i.e. x in (0, 1).
-
-    The transform keeps guard bits so that a chart round-trip stays
-    within 2 ulp of the working precision.
-    """
-    with prec.work():
-        yv = mpf(y.y)
-        if yv == mp.inf:
-            raise DomainError("endpoint x = 0 has no finite double-log value")
-        if yv <= 0:
-            raise DomainError(f"double-log chart needs y > 0, got y = {yv}")
-        with mp.extraprec(8):
-            return DoubleLogValue(mp.log(yv))
-
-
-def from_double_log(z: DoubleLogValue, prec: Precision) -> LogValue:
-    """Inverse of to_double_log: y = exp z."""
-    with prec.work():
-        with mp.extraprec(8):
-            return LogValue(mp.exp(mpf(z.z)))
-
-
-def _differences(values):
-    """First and second differences; those of step*n + free + coeff*base^n are geometric."""
-    d1 = [b - a for a, b in zip(values, values[1:])]
-    return d1, [b - a for a, b in zip(d1, d1[1:])]
+def _nearest(x, step):
+    """(k, x - k step) with k = nint(x / step): the nearest multiple of step to x,
+    at the caller's working precision."""
+    k = int(mp.nint(x / step))
+    return k, x - k * step

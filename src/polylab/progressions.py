@@ -17,7 +17,6 @@ large indices but pins finer invariants.
 
 import zlib
 from dataclasses import dataclass, field
-from statistics import median
 from typing import Any, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -25,13 +24,12 @@ from mpmath import mp, mpf
 
 from .errors import (
     AmbiguityError,
-    FitFailureError,
     InsufficientDataError,
     InvalidInputError,
     ReconstructionError,
     TieError,
 )
-from .numerics import Precision, _check_finite, _differences
+from .numerics import Precision, _check_finite, _nearest
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,9 +105,8 @@ def _densities_differ(A1, A2, tol) -> bool:
 def _offset_lattice(dtau, A, s_max: int) -> Iterator[Tuple[int, int, Any]]:
     """(s, p, |dtau - A s - p|) with p the nearest integer, for |s| <= s_max."""
     for s in range(-s_max, s_max + 1):
-        r = dtau - A * s
-        p = int(mp.nint(r))
-        yield s, p, abs(r - p)
+        p, r = _nearest(dtau - A * s, 1)
+        yield s, p, abs(r)
 
 
 def equivalent_pairs(
@@ -432,11 +429,11 @@ def _upper_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def reconstruct_invariants(word: InterleavingWord, prec: Precision) -> WordReconstruction:
     """Recover (A, tau) from letters alone (unperturbed source, length >= 100).
 
-    A is estimated from the letter-frequency ratio #Y/#X; the admissible
-    (A, tau) region cut out by the straddling constraints
-    m - A (c(m)+1) < tau < m - A c(m) is a convex sliver, and the tau
-    interval reported is its projection (midpoint + width).  An empty
-    region means the word is not an interleaving of any such pair.
+    The admissible (A, tau) region cut out by the straddling constraints
+    m - A (c(m)+1) < tau < m - A c(m) is a convex sliver; A and tau are
+    the midpoints of its projections, reported with both intervals.  An
+    empty region means the word is not an interleaving of any such pair;
+    an unbounded one, that c(m) spans fewer than 2 values.
     """
     nx, ny = word.x_count, word.y_count
     if nx + ny < 100:
@@ -451,11 +448,13 @@ def reconstruct_invariants(word: InterleavingWord, prec: Precision) -> WordRecon
     # their values bit for bit.
     # Index j holds the constraint of m = j + 1; the hull of (c, j) is that of (c, m).
     c = word._staircase()
+    if c[-1] - c[0] < 2:
+        raise ReconstructionError("feasible density region is unbounded")
     run_start = np.r_[True, c[1:] != c[:-1]]
     last = np.flatnonzero(np.r_[run_start[1:], True])
     lo_pts = last[_upper_hull(c[last], last)]
     first = np.flatnonzero(run_start & (c >= 1))
-    up_pts = first[_upper_hull(c[first], -first)] if first.size else first
+    up_pts = first[_upper_hull(c[first], -first)]
     ms, cs_next = lo_pts + 1.0, c[lo_pts] + 1.0
     ms_up, cs_up = up_pts + 1.0, c[up_pts].astype(np.float64)
 
@@ -463,15 +462,16 @@ def reconstruct_invariants(word: InterleavingWord, prec: Precision) -> WordRecon
         return float(np.max(ms - a * cs_next))
 
     def U(a: float) -> float:
-        if not ms_up.size:
-            return float("inf")
         return float(np.min(ms_up - a * cs_up))
 
     def gap(a: float) -> float:
         return L(a) - U(a)
 
-    a_freq = ny / nx
-    lo, hi = a_freq / 4, a_freq * 4
+    # An L point i and a U point j need a (c_j - c_i - 1) < m_j - m_i: the
+    # smallest U c against the largest L c bounds a below, the largest U c
+    # against the smallest L c bounds it above (c spans at least 2).
+    lo = float((ms_up[0] - ms[-1]) / (cs_up[0] - cs_next[-1]))
+    hi = float((ms_up[-1] - ms[0]) / (cs_up[-1] - cs_next[0]))
     a_min, gmin = _ternary(gap, lo, hi, minimize=True)
     if gmin >= 0:
         raise ReconstructionError("no (A, tau) is consistent with this word")
@@ -485,17 +485,15 @@ def reconstruct_invariants(word: InterleavingWord, prec: Precision) -> WordRecon
                 a_out = mid
         return (a_in + a_out) / 2
 
-    if gap(lo) < 0 or gap(hi) < 0:
-        raise ReconstructionError("feasible density region is unbounded in the search box")
     a1 = edge(a_min, lo)
     a2 = edge(a_min, hi)
     _, tau_lo = _ternary(L, a1, a2, minimize=True)
     _, tau_hi = _ternary(U, a1, a2, minimize=False)
     with prec.work():
-        tl, th = mpf(tau_lo), mpf(tau_hi)
+        al, ah, tl, th = mpf(a1), mpf(a2), mpf(tau_lo), mpf(tau_hi)
         return WordReconstruction(
-            invariants=PairInvariants(A=mpf(ny) / nx, tau=(tl + th) / 2),
-            A_interval=(mpf(a1), mpf(a2)),
+            invariants=PairInvariants(A=(al + ah) / 2, tau=(tl + th) / 2),
+            A_interval=(al, ah),
             tau_interval=(tl, th),
             tau_width=th - tl,
         )
@@ -508,28 +506,6 @@ def relative_scale_from_progressions(xi, psi, nu2, tau, prec: Precision):
         if not (0 < nu2v < 1):
             raise InvalidInputError(f"nu2 must lie in (0, 1), got {nu2v}")
         return mpf(psi) * nu2v ** mpf(tau) - mpf(xi)
-
-
-def estimate_base(values, prec: Precision):
-    """Geometric-fit estimate of the base from consecutive progression values.
-
-    Second differences of step*n + free + coeff*base^n are exactly
-    geometric; the median ratio of consecutive second differences
-    converges to base.
-    """
-    if len(values) < 6:
-        raise InvalidInputError(f"need at least 6 values, got {len(values)}")
-    with prec.work():
-        _, d2 = _differences([mpf(v) for v in values])
-        if all(x == 0 for x in d2):
-            raise FitFailureError("no geometric correction present (second differences vanish)")
-        ratios = [d2[i + 1] / d2[i] for i in range(len(d2) - 1) if d2[i] != 0]
-        if not ratios or any(r <= 0 for r in ratios):
-            raise FitFailureError("second differences are not geometric")
-        b = mpf(median(ratios))
-        if not (0 < b < 1):
-            raise FitFailureError(f"fitted base {b} outside (0, 1)")
-        return b
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,18 @@
 """Batch interface: JSON in, deterministic JSON/CSV out, documented exit codes."""
 
+import contextlib
+import io
 import json
 import pathlib
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from polylab import HeartFamily, Precision, engineer_base_mismatch, re_mark
-from polylab.cli import main
+from polylab import HeartFamily, PolylabError, Precision, engineer_base_mismatch, re_mark
+from polylab.cli import _parse_family, main
 
 EXAMPLE = {"lambda": "0.5", "mu": 5, "C1": 2, "C2": 3, "B1": "0.1", "B2": "0.2"}
 MODEL = {"C": 2, "Lambda0": "0.6", "B0": "0.1"}
@@ -339,3 +344,137 @@ def test_compare_rejects_bad_arguments_exit_2(tmp_path, capsys, flag, value):
     code, out, err = run(capsys, "compare", path, path, flag, value)
     assert code == 2 and out == ""
     assert json.loads(err)["exit_code"] == 2
+
+
+# ------------------------------------------------------------ fuzzed documents
+# Every document gets a documented exit code and a finite report; a traceback
+# (exit 1) or a NaN/inf in the output fails.
+
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 10}
+NON_FINITE = re.compile(r"(?i)(?<![a-z])[+-]?(nan|inf)(?![a-z])")
+ODD_VALUES = st.sampled_from(["1e-400", "1e400", "-1e400", "0", "-1", "nan", "inf", "1/2",
+                              "abc", "", None, True, [], {}])
+
+
+def between(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def document(draw, values, extra=None):
+    """The numbers of values as decimal strings or JSON literals, plus the raw
+    fields of extra.  Three documents in ten are spoiled: one value is odd, one
+    field is missing, or the document is not an object."""
+    doc = {k: repr(v) if draw(st.booleans()) else v for k, v in draw(values).items()}
+    doc.update(draw(extra) if extra is not None else {})
+    spoil = draw(st.integers(0, 9))
+    if spoil == 7:
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(ODD_VALUES)
+    elif spoil == 8:
+        doc.pop(draw(st.sampled_from(sorted(doc))))
+    elif spoil == 9:
+        return list(doc.values())
+    return doc
+
+
+@st.composite
+def family_values(draw):
+    # mu = 1/(lam^2 nu2) keeps lam^2 mu > 1; C < 1 with B near 1 is inadmissible
+    lam, nu2 = draw(between(0.05, 0.95)), draw(between(0.05, 0.95))
+    return {"lambda": lam, "mu": 1 / (lam * lam * nu2),
+            "C1": draw(between(0.5, 4)), "C2": draw(between(0.5, 4)),
+            "B1": draw(between(0.01, 0.99)), "B2": draw(between(0.01, 0.99))}
+
+
+@st.composite
+def model_values(draw):
+    values = {"C": draw(between(0.1, 4)), "Lambda0": draw(between(0.05, 0.95)),
+              "B0": draw(between(0.01, 0.99))}
+    for key in ("Lambda1", "B1"):
+        if draw(st.booleans()):
+            values[key] = draw(between(-0.5, 0.5))
+    return values
+
+
+FAMILY_DOCS = document(family_values())
+MODEL_DOCS = document(model_values(), st.one_of(
+    st.just({}), st.fixed_dictionaries({"psi": st.sampled_from(["zero", "one", None])})))
+SPEC_DOCS = document(
+    st.fixed_dictionaries({"gamma": between(0.1, 4), "u": between(-1, 1),
+                           "Xi": st.one_of(between(0.01, 2), between(-2, -0.01)),
+                           "lambda": between(0.05, 0.95)}),
+    st.fixed_dictionaries({
+        "q_list": st.lists(st.sampled_from(["1/2", "2/3", "33/64", "3/2", "2", 2]),
+                           min_size=1, max_size=3),
+        "N_schedule": st.one_of(
+            st.lists(st.integers(1, 200), min_size=1, max_size=3, unique=True).map(sorted),
+            st.lists(st.integers(-2, 200), max_size=3)),
+    }))
+BITS = st.sampled_from(["64", "96", "128", "256"])
+
+
+@st.composite
+def family_pairs(draw):
+    """A family with another, with itself, or with a re-marking of itself."""
+    doc = draw(FAMILY_DOCS)
+    how = draw(st.sampled_from(["other", "same", "re_mark"]))
+    if how == "other":
+        return doc, draw(FAMILY_DOCS)
+    if how == "re_mark":
+        j, k = draw(st.sampled_from([1, 2])), draw(st.sampled_from([-2, -1, 1, 2]))
+        try:
+            prec = Precision(bits=256)
+            return doc, family_doc(re_mark(_parse_family(doc, prec), j, k, prec))
+        except PolylabError:
+            pass
+    return doc, doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def run_fuzzed(fuzz_dir, command, docs, *flags):
+    paths = []
+    for i, doc in enumerate(docs):
+        path = fuzz_dir / f"doc{i}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, *paths, *flags])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in DOCUMENTED_EXITS, (code, docs, err)
+    assert not NON_FINITE.search(out), (docs, out)
+    if code in (0, 10):
+        assert out and err == ""
+    else:
+        assert out == "" and json.loads(err)["exit_code"] == code
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(FAMILY_DOCS, BITS)
+def test_fuzzed_invariants_documents(fuzz_dir, doc, bits):
+    run_fuzzed(fuzz_dir, "invariants", [doc], "--bits", bits)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.one_of(MODEL_DOCS, FAMILY_DOCS), st.integers(0, 8), st.sampled_from(["loop", "outer"]),
+       BITS)
+def test_fuzzed_sparkle_documents(fuzz_dir, doc, terms, which, bits):
+    run_fuzzed(fuzz_dir, "sparkle", [doc], "--terms", str(terms), "--which", which, "--bits", bits)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(family_pairs(), st.integers(1, 500), st.integers(0, 64), BITS)
+def test_fuzzed_compare_documents(fuzz_dir, docs, depth, max_shift, bits):
+    run_fuzzed(fuzz_dir, "compare", list(docs), "--depth", str(depth),
+               "--max-shift", str(max_shift), "--bits", bits)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(SPEC_DOCS, st.integers(1, 2), st.integers(0, 200), st.sampled_from(["256", "512", "1024"]))
+def test_fuzzed_liouville_documents(fuzz_dir, doc, depth, seed, bits):
+    run_fuzzed(fuzz_dir, "liouville", [doc], "--depth", str(depth), "--seed", str(seed),
+               "--bits", bits)

@@ -24,10 +24,10 @@ from polylab import (
     recover_parameters,
     residual_analysis,
     solve_connection,
-    synthetic_sequence,
     theta,
 )
 from polylab import connections
+from tests.conftest import model_sequence
 
 # 30-digit reference values for the standing example problem
 # (C=2, Lambda=0.6, B=0.1), frozen from an independent evaluation of
@@ -143,7 +143,7 @@ def test_sequence_monotone_with_limiting_spacing(prec):
 
 def test_residuals_of_exact_model_vanish(prec):
     model = AsymptoticModel(Lambda="0.6", beta="1.2", theta="-0.8")
-    seq = synthetic_sequence(model, 14, prec)
+    seq = model_sequence(model, 14, prec)
     report = residual_analysis(seq, model, prec)
     assert report.verdict == "consistent"
     assert all(r == 0 for r in report.residuals)
@@ -154,7 +154,7 @@ def test_residuals_detect_higher_order_term(prec):
     model = AsymptoticModel(Lambda="0.6", beta="1.2", theta="-0.8")
     with prec.work():
         L = mpf("0.6")
-        seq = synthetic_sequence(model, 20, prec, extra=lambda n: L ** (2 * n))
+        seq = model_sequence(model, 20, prec, extra=lambda n: L ** (2 * n))
     report = residual_analysis(seq, model, prec)
     assert report.verdict == "consistent"
     with prec.work():
@@ -165,21 +165,21 @@ def test_residuals_detect_higher_order_term(prec):
 
 def test_residuals_reject_constant_offset(prec):
     model = AsymptoticModel(Lambda="0.6", beta="1.2", theta="-0.8")
-    seq = synthetic_sequence(model, 20, prec, extra=lambda n: mpf("1e-3"))
+    seq = model_sequence(model, 20, prec, extra=lambda n: mpf("1e-3"))
     report = residual_analysis(seq, model, prec)
     assert report.verdict == "inconsistent"
 
 
 def test_residuals_need_enough_entries(prec):
     model = AsymptoticModel(Lambda="0.6", beta="1.2", theta="-0.8")
-    seq = synthetic_sequence(model, 5, prec)
+    seq = model_sequence(model, 5, prec)
     with pytest.raises(InvalidInputError):
         residual_analysis(seq, model, prec)
 
 
 def test_recover_exact_synthetic(prec):
     model = AsymptoticModel(Lambda="0.6", beta="1.2", theta="-0.8")
-    seq = synthetic_sequence(model, 30, prec)
+    seq = model_sequence(model, 30, prec)
     rec = recover_parameters(seq, prec)
     with prec.work():
         assert abs(rec.model.Lambda - mpf("0.6")) < mpf("1e-6")
@@ -188,7 +188,7 @@ def test_recover_exact_synthetic(prec):
         assert not rec.theta_flagged_zero
     # The 15-entry exact sequence of the standing example problem.
     model = asymptotic_model(model_problem(), prec)
-    rec = recover_parameters(synthetic_sequence(model, 14, prec), prec)
+    rec = recover_parameters(model_sequence(model, 14, prec), prec)
     with prec.work():
         assert abs(rec.model.Lambda - model.Lambda) < mpf("1e-20")
         assert abs(rec.model.beta - model.beta) < mpf("1e-15")
@@ -196,7 +196,7 @@ def test_recover_exact_synthetic(prec):
 
 def test_recover_flags_zero_coefficient(prec):
     model = AsymptoticModel(Lambda="0.6", beta="1.2", theta=0)
-    seq = synthetic_sequence(model, 25, prec)
+    seq = model_sequence(model, 25, prec)
     rec = recover_parameters(seq, prec)
     assert rec.theta_flagged_zero
     assert rec.model.theta == 0
@@ -207,7 +207,7 @@ def test_recover_flags_zero_coefficient(prec):
 
 def test_recover_rejects_non_geometric_residuals(prec):
     model = AsymptoticModel(Lambda="0.6", beta="1.2", theta="-0.8")
-    seq = synthetic_sequence(
+    seq = model_sequence(
         model, 25, prec, extra=lambda n: (-1) ** n * mpf("1e-4")
     )
     with pytest.raises(FitFailureError):

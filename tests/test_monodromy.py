@@ -14,14 +14,10 @@ from polylab import (
     ModelViolationError,
     PerturbedPowerFamily,
     PowerMap,
-    SandwichBounds,
-    SandwichGrid,
     apply_family_log,
     apply_log,
-    check_psi_origin,
     closed_iterate,
     envelope_profile,
-    sandwich_check,
 )
 from tests.conftest import random_model
 
@@ -118,14 +114,6 @@ def test_family_validation_and_exponent(prec):
     assert mpf(frozen.C) == 2 and mpf(frozen.nu) == mpf("0.6")
 
 
-def test_check_psi_origin(prec):
-    assert check_psi_origin(PerturbedPowerFamily(C=1, Lambda0="0.5"), prec)
-    good = PerturbedPowerFamily(C=1, Lambda0="0.5", psi=lambda u, e: u + e)
-    bad = PerturbedPowerFamily(C=1, Lambda0="0.5", psi=lambda u, e: mpf("0.5"))
-    assert check_psi_origin(good, prec)
-    assert not check_psi_origin(bad, prec)
-
-
 def test_family_zero_parameter_flag(prec):
     fam = PerturbedPowerFamily(C=2, Lambda0="0.6", Lambda1="0.3")
     with prec.work():
@@ -192,46 +180,30 @@ def test_sandwich_single_point_strict(prec):
 
 
 def test_sandwich_model_case_passes_with_unit_k(prec):
+    # k = 1 bounds the envelope on the grid: each k_hat / eps^(1-L) is below 1.
     fam = PerturbedPowerFamily(C=2, Lambda0="0.6")
-    grid = SandwichGrid(eps_values=("1e-8", "1e-6", "1e-4"), x_count=24)
-    report = sandwich_check(fam, SandwichBounds(k=1, x0="0.1"), grid, prec)
-    assert report.passed
-    assert report.max_violation < 0
-    assert 0 < report.empirical_k <= 1
-
-
-def test_sandwich_fitted_k_with_drifting_exponent(prec):
-    # Lambda1 != 0: fit k on the grid, then verify with a hair of slack.
-    fam = PerturbedPowerFamily(C=2, Lambda0="0.6", Lambda1="0.05")
-    grid = SandwichGrid(eps_values=("1e-8", "1e-6", "1e-4"), x_count=24)
-    probe = sandwich_check(fam, SandwichBounds(k=1, x0="0.1"), grid, prec)
-    with prec.work():
-        fitted = probe.empirical_k * (1 + mpf("1e-20"))
-    report = sandwich_check(fam, SandwichBounds(k=fitted, x0="0.1"), grid, prec)
-    assert report.passed
+    profile = envelope_profile(fam, ("1e-8", "1e-6", "1e-4"), "0.1", prec, x_count=24)
+    assert all(0 < k_hat for _, k_hat, _ in profile)
+    assert max(k_norm for _, _, k_norm in profile) < 1
 
 
 def test_sandwich_halved_domain_needs_larger_k(prec):
+    # Widening the domain to eps/2 < x raises the constant, but k = 2 still holds.
     fam = PerturbedPowerFamily(C=2, Lambda0="0.6")
     eps_values = ("1e-8", "1e-6")
-    narrow = sandwich_check(
-        fam, SandwichBounds(k=1, x0="0.1"), SandwichGrid(eps_values=eps_values), prec
-    )
-    wide = sandwich_check(
-        fam,
-        SandwichBounds(k=2, x0="0.1"),
-        SandwichGrid(eps_values=eps_values, halved_domain=True),
-        prec,
-    )
-    assert wide.passed
-    assert wide.empirical_k > narrow.empirical_k
+    narrow = envelope_profile(fam, eps_values, "0.1", prec)
+    wide = envelope_profile(fam, eps_values, "0.1", prec, halved_domain=True)
+    k_narrow = max(k_norm for _, _, k_norm in narrow)
+    k_wide = max(k_norm for _, _, k_norm in wide)
+    assert k_narrow < k_wide < 2
 
 
 def test_sandwich_rejects_empty_domain(prec):
     fam = PerturbedPowerFamily(C=2, Lambda0="0.6")
-    grid = SandwichGrid(eps_values=("0.5",))
     with pytest.raises(InvalidInputError):
-        sandwich_check(fam, SandwichBounds(k=1, x0="0.1"), grid, prec)
+        envelope_profile(fam, ["0.5"], "0.1", prec)
+    with pytest.raises(InvalidInputError):
+        envelope_profile(fam, ["1e-6"], "0.1", prec, x_count=0)
 
 
 def test_envelope_scaling_stays_bounded(prec):

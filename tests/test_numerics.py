@@ -19,9 +19,7 @@ from polylab import (
     PerturbedPowerFamily,
     PerturbedProgression,
     Precision,
-    from_double_log,
     neg_log_add,
-    to_double_log,
 )
 from polylab.numerics import DEFAULT_BITS, default_bits
 
@@ -147,29 +145,6 @@ def test_neg_log_add_short_circuit_is_exact(prec):
         hi = lo + prec.bits * mp.log(2) + 3
         out = neg_log_add(LogValue(lo), LogValue(hi), prec)
         assert out.y == lo
-
-
-def test_double_log_chart_points(prec):
-    with prec.work():
-        assert to_double_log(LogValue(mpf(1)), prec).z == 0
-        z = to_double_log(LogValue(mp.e), prec)
-        assert abs(z.z - 1) < mpf(2) ** -250
-    with pytest.raises(DomainError):
-        to_double_log(LogValue(mpf(-2)), prec)
-    with pytest.raises(DomainError):
-        to_double_log(LogValue(mp.inf), prec)
-
-
-def test_double_log_roundtrip_bulk(prec):
-    rng = random.Random(11)
-    with prec.work():
-        ulp2 = mpf(2) ** (2 - prec.bits)
-        for _ in range(1000):
-            y = LogValue(mpf(rng.uniform(-6, 6)) * mpf(10) ** rng.randint(0, 5))
-            if y.y <= 0:
-                y = LogValue(-y.y + mpf("1e-6"))
-            back = from_double_log(to_double_log(y, prec), prec)
-            assert abs(back.y - y.y) <= ulp2 * abs(y.y)
 
 
 def test_eps_chart_validation(prec):

@@ -12,25 +12,28 @@ from mpmath import mp, mpf
 from polylab import (
     AmbiguityError,
     ArithmeticProgression,
+    ConnectionSequence,
     InsufficientDataError,
     InterleavingWord,
     InvalidInputError,
     PairInvariants,
     PerturbedProgression,
     Precision,
+    ReconstructionError,
     SearchBounds,
     ShiftPair,
     TieError,
     equivalent_pairs,
-    estimate_base,
     interleaving_word,
     irrationality_report,
     pair_invariants,
     progression_model,
     reconstruct_invariants,
+    recover_parameters,
     relative_scale_from_progressions,
     words_equivalent_up_to_shift,
 )
+from polylab.connections import ConnectionEntry
 from polylab.heart import _Table, _table_letters
 from polylab.progressions import _upper_hull
 from tests.conftest import random_family
@@ -306,6 +309,40 @@ def test_reconstruct_invariants_sees_only_the_hull_on_long_words(prec):
         assert rec.tau_interval[0] <= mpf("0.3") <= rec.tau_interval[1]
 
 
+def test_reconstructed_density_is_the_midpoint_of_its_interval(prec):
+    # The letter frequency #Y/#X lies outside the feasible sliver; its
+    # midpoint pins A = 4 + 1/phi far inside criterion 8's 1e-4.
+    with prec.work():
+        A = 4 + 2 / (1 + mp.sqrt(5))
+        word = interleaving_word(ArithmeticProgression(step=A, free="0.3"),
+                                 ArithmeticProgression(step=1, free=0), 10 ** 5, Precision(bits=96))
+    rec = reconstruct_invariants(word, prec)
+    with prec.work():
+        lo, hi = rec.A_interval
+        assert lo < A < hi
+        assert rec.invariants.A == (lo + hi) / 2
+        assert abs(rec.invariants.A - A) < mpf("1e-8")
+
+
+def test_reconstruct_finds_a_density_far_from_the_letter_frequency(prec):
+    # 67 leading X letters put #Y/#X near 0.15, a tenth of A = 1.5.
+    with prec.work():
+        word = interleaving_word(ArithmeticProgression(step="1.5", free="-100.3"),
+                                 ArithmeticProgression(step=1, free=0), 100, prec)
+    rec = reconstruct_invariants(word, prec)
+    with prec.work():
+        assert rec.A_interval[0] < mpf("1.5") < rec.A_interval[1]
+        assert rec.tau_interval[0] < mpf("-100.3") < rec.tau_interval[1]
+
+
+def test_reconstruct_tells_unbounded_from_inconsistent(prec):
+    # X^60 Y^60 fits every A > 59; a change of density midway fits none.
+    with pytest.raises(ReconstructionError, match="unbounded"):
+        reconstruct_invariants(InterleavingWord(letters="X" * 60 + "Y" * 60), prec)
+    with pytest.raises(ReconstructionError, match="no \\(A, tau\\) is consistent"):
+        reconstruct_invariants(InterleavingWord(letters="XY" * 60 + "XXYY" * 20), prec)
+
+
 def test_reconstruct_needs_long_word(prec):
     with pytest.raises(InvalidInputError):
         reconstruct_invariants(InterleavingWord(letters="XY" * 20), prec)
@@ -335,16 +372,21 @@ def test_relative_scale_points(prec):
 
 
 def test_estimate_base_from_synthetic_values(prec):
+    # Second differences of step n + free + coeff base^n are exactly
+    # geometric, so the geometric-tail fit of connection sequences reads
+    # base and coeff off a progression's values.
+    def sequence(values):
+        return ConnectionSequence(entries=tuple(
+            ConnectionEntry(n=n, z=v, bracket_width=mpf(0)) for n, v in enumerate(values, 1)))
+
     with prec.work():
         p = PerturbedProgression(step="1.1", free="-0.4", coeff="-0.37", base="0.73")
-        values = [p.value(n, prec) for n in range(1, 40)]
-        est = estimate_base(values, prec)
-        assert abs(est - mpf("0.73")) < mpf("1e-10")
-    flat = [mpf(n) for n in range(1, 20)]
-    from polylab import FitFailureError
-
-    with pytest.raises(FitFailureError):
-        estimate_base(flat, prec)
+        rec = recover_parameters(sequence([p.value(n, prec) for n in range(1, 40)]), prec)
+        assert not rec.theta_flagged_zero
+        assert abs(rec.model.Lambda - mpf("0.73")) < mpf("1e-60")
+        assert abs(rec.model.theta + mpf("0.37")) < mpf("1e-60")
+        flat = recover_parameters(sequence([mpf(n) for n in range(1, 20)]), prec)
+        assert flat.theta_flagged_zero and flat.model.theta == 0
 
 
 def test_irrationality_report_dichotomy(prec):

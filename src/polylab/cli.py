@@ -59,8 +59,11 @@ def _jsonable(obj, bits: int):
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -70,10 +73,11 @@ def _emit_json(doc: Dict[str, Any], bits: int, out: Optional[str]) -> None:
 
 
 def _load_json(path: str):
+    # ValueError covers bad UTF-8, bad JSON and integer literals past the digit limit.
     try:
         with open(path) as fh:
             return json.load(fh, parse_float=str)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InvalidInputError(f"cannot read JSON from {path}: {exc}") from None
 
 

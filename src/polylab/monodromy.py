@@ -18,7 +18,7 @@ from .errors import (
     InvalidInputError,
     ModelViolationError,
 )
-from .numerics import DoubleLogValue, LogValue, Precision, _absorb_cap, _check_finite, _log_sum, to_mpf
+from .numerics import DoubleLogValue, LogValue, Precision, _absorb_cap, _check_finite, _log_sum
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ def envelope_profile(
     with prec.work():
         L0 = mpf(fam.Lambda0)
         for eps in eps_values:
-            ev = to_mpf(eps, prec)
+            ev = mpf(eps)
             if not (0 < ev < mpf(x0)):
                 raise InvalidInputError(f"eps = {ev} outside (0, x0)")
             llo, lhi = mp.log(ev / 2 if halved_domain else ev), mp.log(mpf(x0))

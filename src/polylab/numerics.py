@@ -58,12 +58,6 @@ class Precision:
         return mp.workprec(self.bits)
 
 
-def to_mpf(x, prec: Precision):
-    """Convert x (mpf, int, float, or decimal string) at working precision."""
-    with prec.work():
-        return mpf(x)
-
-
 def _check_finite(obj, *names: str) -> None:
     """Reject a NaN or infinite value in any named field of an input record."""
     for name in names:

@@ -17,6 +17,7 @@ large indices but pins finer invariants.
 
 import zlib
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -374,64 +375,48 @@ class WordReconstruction:
     tau_width: Any
 
 
-def _ternary(f, lo: float, hi: float, minimize: bool, iters: int = 200):
-    sgn = 1.0 if minimize else -1.0
-    for _ in range(iters):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if sgn * f(m1) <= sgn * f(m2):
-            hi = m2
-        else:
-            lo = m1
-        if hi - lo < 1e-15 * max(1.0, abs(lo)):
-            break
-    x = (lo + hi) / 2
-    return x, f(x)
+def _newton_end(m_lo, k_lo, m_up, c_up, right: bool) -> Tuple[Fraction, Fraction]:
+    """The left end a1 (right: walking up from below) or the right end a2 of the A interval.
 
-
-_HULL_BLOCK = 4096
-
-
-def _upper_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Indices of the integer points (x strictly increasing) on the upper hull, edges included.
-
-    max(y - a x) over all points equals the max over these for every a,
-    and any other point falls short by at least 1/(x[-1] - x[0]).  The
-    tests are exact int64 cross products (quickhull).  Long inputs are
-    first cut to the hulls of blocks of _HULL_BLOCK points, which bounds
-    the scratch arrays; the hull of those hulls is the hull of all.
+    L(a) = max(m_lo - a k_lo) and U(a) = min(m_up - a c_up), k_lo and c_up
+    increasing; L - U is convex and piecewise linear, and the feasible A
+    are where it is negative.  The walk starts where the extreme pair of
+    lines cross (the largest k against the smallest c bounds a1 from
+    below, the reverse pair a2 from above).  A Newton step moves a to
+    where the pieces of L and U active on the side facing the end cross;
+    it never passes the end and lands on a new piece, so the walk stops
+    exactly at the end, which is returned with the tau where L = U there.
+    An active slope of the wrong sign means L - U never goes negative.
+    At a = P/Q a line is Q m - P k over Q; |P|, Q, m < N letters keep it
+    exact in int64 for N < 4·10^9.
     """
-    if len(x) > _HULL_BLOCK:
-        idx = np.concatenate([k + _upper_hull(x[k:k + _HULL_BLOCK], y[k:k + _HULL_BLOCK])
-                              for k in range(0, len(x), _HULL_BLOCK)])
-        if len(idx) < len(x):
-            return idx[_upper_hull(x[idx], y[idx])]
-    keep = [0, len(x) - 1]
-    stack = [(0, len(x) - 1, np.arange(1, len(x) - 1))]
-    while stack:
-        i, j, cand = stack.pop()
-        if not cand.size:
-            continue
-        d = y[cand] - y[i]
-        d *= x[j] - x[i]
-        d -= (x[cand] - x[i]) * (y[j] - y[i])
-        if d.max() <= 0:
-            keep.extend(cand[d == 0].tolist())
-            continue
-        f = int(cand[np.argmax(d)])
-        cand = cand[d > 0]
-        keep.append(f)
-        stack.append((i, f, cand[cand < f]))
-        stack.append((f, j, cand[cand > f]))
-    return np.array(sorted(set(keep)), dtype=np.int64)
+    i, j = (-1, 0) if right else (0, -1)
+    while True:
+        a = Fraction(int(m_lo[i] - m_up[j]), int(k_lo[i] - c_up[j]))
+        P, Q = a.numerator, a.denominator
+        v = Q * m_lo
+        v -= P * k_lo
+        top = v.max()
+        i = np.flatnonzero(v == top)[0 if right else -1]
+        v = Q * m_up
+        v -= P * c_up
+        bottom = v.min()
+        j = np.flatnonzero(v == bottom)[-1 if right else 0]
+        slope = int(k_lo[i] - c_up[j])
+        if (slope <= 0) if right else (slope >= 0):
+            raise ReconstructionError("no (A, tau) is consistent with this word")
+        if top == bottom:
+            return a, Fraction(int(top), Q)
 
 
 def reconstruct_invariants(word: InterleavingWord, prec: Precision) -> WordReconstruction:
     """Recover (A, tau) from letters alone (unperturbed source, length >= 100).
 
-    The admissible (A, tau) region cut out by the straddling constraints
-    m - A (c(m)+1) < tau < m - A c(m) is a convex sliver; A and tau are
-    the midpoints of its projections, reported with both intervals.  An
+    The m-th Y letter after c(m) X letters gives m - A (c(m)+1) < tau and,
+    for c(m) >= 1, tau < m - A c(m): a convex polygon with rational
+    vertices.  Its A interval (a1, a2) and tau interval (L(a2), U(a1)) are
+    found exactly by Newton steps on these constraints in integers, then
+    rounded once at working precision; A and tau are their midpoints.  An
     empty region means the word is not an interleaving of any such pair;
     an unbounded one, that c(m) spans fewer than 2 values.
     """
@@ -440,57 +425,24 @@ def reconstruct_invariants(word: InterleavingWord, prec: Precision) -> WordRecon
         raise InvalidInputError(f"need at least 100 letters, got {nx + ny}")
     if nx == 0 or ny == 0:
         raise InvalidInputError("word must contain both letters")
-    # L and U below are evaluated some 1,300 times, so each runs over the
-    # hull points of its constraints only: the largest m of each c for L
-    # (upper hull), the smallest m of each c >= 1 for U (lower hull).
-    # A dropped constraint falls short by at least 1/#X, which exceeds the
-    # float64 rounding of m - a c up to about 10^7 letters, so L and U keep
-    # their values bit for bit.
-    # Index j holds the constraint of m = j + 1; the hull of (c, j) is that of (c, m).
     c = word._staircase()
     if c[-1] - c[0] < 2:
         raise ReconstructionError("feasible density region is unbounded")
-    run_start = np.r_[True, c[1:] != c[:-1]]
-    last = np.flatnonzero(np.r_[run_start[1:], True])
-    lo_pts = last[_upper_hull(c[last], last)]
-    first = np.flatnonzero(run_start & (c >= 1))
-    up_pts = first[_upper_hull(c[first], -first)]
-    ms, cs_next = lo_pts + 1.0, c[lo_pts] + 1.0
-    ms_up, cs_up = up_pts + 1.0, c[up_pts].astype(np.float64)
-
-    def L(a: float) -> float:
-        return float(np.max(ms - a * cs_next))
-
-    def U(a: float) -> float:
-        return float(np.min(ms_up - a * cs_up))
-
-    def gap(a: float) -> float:
-        return L(a) - U(a)
-
-    # An L point i and a U point j need a (c_j - c_i - 1) < m_j - m_i: the
-    # smallest U c against the largest L c bounds a below, the largest U c
-    # against the smallest L c bounds it above (c spans at least 2).
-    lo = float((ms_up[0] - ms[-1]) / (cs_up[0] - cs_next[-1]))
-    hi = float((ms_up[-1] - ms[0]) / (cs_up[-1] - cs_next[0]))
-    a_min, gmin = _ternary(gap, lo, hi, minimize=True)
-    if gmin >= 0:
-        raise ReconstructionError("no (A, tau) is consistent with this word")
-
-    def edge(a_in: float, a_out: float) -> float:
-        for _ in range(200):
-            mid = (a_in + a_out) / 2
-            if gap(mid) < 0:
-                a_in = mid
-            else:
-                a_out = mid
-        return (a_in + a_out) / 2
-
-    a1 = edge(a_min, lo)
-    a2 = edge(a_min, hi)
-    _, tau_lo = _ternary(L, a1, a2, minimize=True)
-    _, tau_hi = _ternary(U, a1, a2, minimize=False)
+    # Of each run of equal c only the last m binds from below (k = c + 1)
+    # and only the first m from above; c[j] belongs to m = j + 1.
+    m_lo = np.flatnonzero(np.r_[c[1:] != c[:-1], True]) + 1
+    c_up = c[m_lo - 1]
+    del c                   # one int64 per Y letter; the walk needs only the runs
+    k_lo = c_up + 1
+    m_up = np.r_[1, m_lo[:-1] + 1]
+    if c_up[0] == 0:
+        m_up, c_up = m_up[1:], c_up[1:]
+    # Every constraint line has slope <= -1, so L and U decrease and tau
+    # spans (L(a2), U(a1)).
+    a1, tau_hi = _newton_end(m_lo, k_lo, m_up, c_up, right=True)
+    a2, tau_lo = _newton_end(m_lo, k_lo, m_up, c_up, right=False)
     with prec.work():
-        al, ah, tl, th = mpf(a1), mpf(a2), mpf(tau_lo), mpf(tau_hi)
+        al, ah, tl, th = (mpf(r.numerator) / r.denominator for r in (a1, a2, tau_lo, tau_hi))
         return WordReconstruction(
             invariants=PairInvariants(A=(al + ah) / 2, tau=(tl + th) / 2),
             A_interval=(al, ah),

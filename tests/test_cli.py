@@ -307,6 +307,25 @@ def test_unreadable_json_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("out, raw", [
+    ("missing/report.json", None),
+    (".", None),
+    (None, b'{"lambda": "0.5\xff"}'),
+    (None, b'{"mu": ' + b"9" * 4301 + b"}"),
+    (None, b"[" * 100_000),
+], ids=["out-in-missing-dir", "out-is-a-dir", "not-utf8", "long-int-literal", "deep-nesting"])
+def test_file_errors_exit_2(tmp_path, capsys, out, raw):
+    path = tmp_path / "fam.json"
+    if raw is None:
+        path.write_text(json.dumps(EXAMPLE))
+    else:
+        path.write_bytes(raw)
+    argv = ["invariants", str(path)] + (["--out", str(tmp_path / out)] if out else [])
+    code, _, err = run(capsys, *argv)
+    diag = json.loads(err)
+    assert code == 2 and diag["exit_code"] == 2 and diag["error"] == "InvalidInputError"
+
+
 def test_non_numeric_field_exit_2(tmp_path, capsys):
     path = jfile(tmp_path, "fam.json", dict(EXAMPLE, C1=True))
     code, _, err = run(capsys, "invariants", path)

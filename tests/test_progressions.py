@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from polylab import (
 )
 from polylab.connections import ConnectionEntry
 from polylab.heart import _Table, _table_letters
-from polylab.progressions import _upper_hull
 from tests.conftest import random_family
 
 
@@ -261,37 +261,7 @@ def test_reconstruct_shifted_free_term(prec):
         assert lo <= mpf("1.3") <= hi
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(-50, 50), min_size=1, max_size=80), st.floats(-4, 4))
-def test_upper_hull_keeps_every_binding_point(ys, a):
-    # The support max(y - a x) over the hull points is the max over all
-    # points, bit for bit, and the first and last points are kept.
-    x = np.arange(len(ys), dtype=np.int64) * 3
-    y = np.array(ys, dtype=np.int64)
-    idx = _upper_hull(x, y)
-    assert idx[0] == 0 and idx[-1] == len(ys) - 1
-    xf, yf = x.astype(np.float64), y.astype(np.float64)
-    assert np.max(yf[idx] - a * xf[idx]) == np.max(yf - a * xf)
-
-
-@pytest.mark.parametrize("kind", ["walk", "line"])
-def test_upper_hull_of_long_inputs_goes_through_blocks(kind):
-    # Over 4096 points the hull is taken of the block hulls; on a line
-    # every point stays on the hull.
-    rng = np.random.default_rng(5)
-    x = np.cumsum(rng.integers(1, 4, 20000))
-    y = rng.integers(-3, 4, 20000).cumsum() if kind == "walk" else 3 * x + 7
-    idx = _upper_hull(x, y)
-    if kind == "line":
-        assert len(idx) == len(x)
-    xf, yf = x.astype(np.float64), y.astype(np.float64)
-    for a in (-2.5, -0.1, 0.0, 0.7, 3.0, 11.0):
-        assert np.max(yf[idx] - a * xf[idx]) == np.max(yf - a * xf)
-
-
-def test_reconstruct_invariants_sees_only_the_hull_on_long_words(prec):
-    # A Sturmian staircase has O(log N) hull points: 10^5 letters leave
-    # 14 constraints for the searches of L, not ~4*10^4.
+def test_reconstruct_invariants_on_long_words(prec):
     with prec.work():
         word = interleaving_word(
             ArithmeticProgression(step=(1 + mp.sqrt(5)) / 2, free="0.3"),
@@ -299,14 +269,114 @@ def test_reconstruct_invariants_sees_only_the_hull_on_long_words(prec):
             10 ** 5,
             Precision(bits=96),
         )
-    c = word._staircase()
-    last = np.flatnonzero(np.r_[c[1:] != c[:-1], True])
-    assert len(last) > 30000
-    assert len(_upper_hull(c[last], last + 1)) < 60
     rec = reconstruct_invariants(word, prec)
     with prec.work():
         assert abs(rec.invariants.A - (1 + mp.sqrt(5)) / 2) < mpf(10) ** -4
         assert rec.tau_interval[0] <= mpf("0.3") <= rec.tau_interval[1]
+
+
+def _as_fraction(x) -> Fraction:
+    man, exp = mpf(x).man_exp          # the mantissa of |x|
+    return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("A, tau", [(lambda: mp.sqrt(2), "0.3"),
+                                    (lambda: 37 + 1 / mp.sqrt(2), "-0.1256")],
+                         ids=["criterion-8", "37+1/sqrt2"])
+def test_reconstructed_ends_are_vertices_of_the_sliver(A, tau):
+    # Each reported end is a rational with denominator <= N rounded at
+    # working precision, and that rational is where the straddling
+    # constraints L and U meet, in integer arithmetic over every
+    # constraint: L = U = tau_lo at a2 and L = U = tau_hi at a1.
+    N = 10 ** 5
+    prec = Precision(bits=96)
+    with prec.work():
+        A = A()
+        word = interleaving_word(ArithmeticProgression(step=A, free=tau),
+                                 ArithmeticProgression(step=1, free=0), N, prec)
+    rec = reconstruct_invariants(word, prec)
+    c = word._staircase()
+    m = np.arange(1, len(c) + 1)
+    up = c >= 1
+
+    def L(a: Fraction) -> Fraction:
+        return Fraction(int((a.denominator * m - a.numerator * (c + 1)).max()), a.denominator)
+
+    def U(a: Fraction) -> Fraction:
+        return Fraction(int((a.denominator * m[up] - a.numerator * c[up]).min()), a.denominator)
+
+    ends = (*rec.A_interval, *rec.tau_interval)
+    a1, a2, tau_lo, tau_hi = (_as_fraction(x).limit_denominator(N) for x in ends)
+    assert L(a2) == U(a2) == tau_lo
+    assert L(a1) == U(a1) == tau_hi
+    with prec.work():
+        assert ends == tuple(mpf(r.numerator) / r.denominator for r in (a1, a2, tau_lo, tau_hi))
+        assert rec.A_interval[0] < A < rec.A_interval[1]
+        assert rec.tau_interval[0] < mpf(tau) < rec.tau_interval[1]
+
+
+def _sliver_oracle(word: InterleavingWord):
+    """(a1, a2, tau_lo, tau_hi) as Fractions from every pair of constraints, or the error.
+
+    The lower constraint m_i - a k_i < tau (k = c + 1) and the upper one
+    tau < m_j - a c_j (c >= 1) are compatible iff a d > m_i - m_j with
+    d = k_i - c_j.  Floats only shortlist the pairs within 1e-9 of the
+    extreme ratio; the extreme itself is taken among them in Fractions.
+    """
+    c = np.array(word.staircase(), dtype=np.int64)
+    if c[-1] - c[0] < 2:
+        return "unbounded"
+    m = np.arange(1, len(c) + 1)
+    lower = list(zip(m.tolist(), (c + 1).tolist()))
+    upper = [(mj, cj) for mj, cj in zip(m.tolist(), c.tolist()) if cj >= 1]
+    num = m[:, None] - m[c >= 1][None, :]
+    den = (c + 1)[:, None] - c[c >= 1][None, :]
+    if (num[den == 0] >= 0).any():
+        return "inconsistent"
+
+    def extreme(sel, pick):
+        ratio = num[sel] / den[sel]
+        best = pick(ratio)
+        near = np.abs(ratio - best) <= 1e-9
+        return pick([Fraction(int(p), int(q)) for p, q in zip(num[sel][near], den[sel][near])])
+
+    a1, a2 = extreme(den > 0, max), extreme(den < 0, min)
+    if a1 >= a2:
+        return "inconsistent"
+    tau_lo = max(mi - a2 * ki for mi, ki in lower)
+    tau_hi = min(mj - a1 * cj for mj, cj in upper)
+    return a1, a2, tau_lo, tau_hi
+
+
+def test_reconstruction_matches_the_pairwise_oracle(prec):
+    # 150 words of 100-400 letters, A in [0.05, 40], tau in [-3, 3], about
+    # 30% with one flipped letter: the four ends are the oracle's rationals
+    # rounded at working precision, and the errors are the oracle's.
+    rng = random.Random(8)
+    ref = ArithmeticProgression(step=1, free=0)
+    outcomes = {"unbounded": 0, "inconsistent": 0, "consistent": 0}
+    for _ in range(150):
+        N = rng.randint(100, 400)
+        with prec.work():
+            x = ArithmeticProgression(step=mpf(rng.uniform(0.05, 40)), free=mpf(rng.uniform(-3, 3)))
+        letters = interleaving_word(x, ref, N, prec).letters
+        if rng.random() < 0.3:
+            i = rng.randrange(N)
+            letters = letters[:i] + ("X" if letters[i] == "Y" else "Y") + letters[i + 1:]
+        word = InterleavingWord(letters)
+        want = _sliver_oracle(word)
+        if isinstance(want, str):
+            match = "unbounded" if want == "unbounded" else "no \\(A, tau\\) is consistent"
+            with pytest.raises(ReconstructionError, match=match):
+                reconstruct_invariants(word, prec)
+            outcomes[want] += 1
+            continue
+        rec = reconstruct_invariants(word, prec)
+        with prec.work():
+            rounded = tuple(mpf(r.numerator) / r.denominator for r in want)
+        assert (*rec.A_interval, *rec.tau_interval) == rounded
+        outcomes["consistent"] += 1
+    assert outcomes["consistent"] >= 75 and outcomes["inconsistent"] >= 20
 
 
 def test_reconstructed_density_is_the_midpoint_of_its_interval(prec):

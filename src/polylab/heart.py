@@ -31,13 +31,10 @@ from .progressions import (
     PerturbedProgression,
     ShiftPair,
     SearchBounds,
-    WordShiftVerdict,
     _densities_differ,
     _offset_lattice,
     equivalent_pairs,
-    interleaving_word,
     irrationality_report,
-    words_equivalent_up_to_shift,
 )
 
 # Rational window scales used when probing order obstructions.
@@ -284,28 +281,6 @@ def _xi_congruence(inv1: InvariantReport, inv2: InvariantReport, prec: Precision
         return out
 
 
-class _Table(dict):
-    """Solver values z_n by index n; value() is None past the end of the table."""
-
-    def value(self, n: int, prec: Precision):
-        return self.get(n)
-
-
-def _table_letters(x: _Table, y: _Table) -> int:
-    """Letters merged before either table ends: the values <= min(last x, last y)."""
-    end = min(x[max(x)], y[max(y)])
-    return sum(1 for t in (x, y) for n, v in t.items() if n >= 1 and v <= end)
-
-
-def _solver_sources(f1, f2, inv1: InvariantReport, shift: ShiftPair, N: int, prec: Precision):
-    """Solver tables (x1, y1, x2, y2) covering a scan to depth N under the shift."""
-    m_cap = int(mp.nint(inv1.A * N + inv1.tau_prog)) + abs(shift.p) + 4
-    probs = (*connection_problems(f1, prec), *connection_problems(f2, prec))
-    caps = (N, m_cap, N + abs(shift.s) + 1, m_cap)
-    return tuple(_Table((e.n, e.z) for e in conn.generate_sequence(prob, cap, prec).entries)
-                 for prob, cap in zip(probs, caps))
-
-
 def _offset_shift(inv1: InvariantReport, inv2: InvariantReport, prec: Precision,
                   bounds: SearchBounds, margins: Dict[str, Any]) -> Optional[ShiftPair]:
     """The shift matching the offsets; its residual, or the best miss, goes to margins."""
@@ -319,17 +294,17 @@ def _offset_shift(inv1: InvariantReport, inv2: InvariantReport, prec: Precision,
     return shift
 
 
-def _scan_good_pairs(sources, inv1: InvariantReport, shift: ShiftPair, scan_depth: int,
-                     floor, prec: Precision) -> Tuple[Optional[Dict[str, Any]], int]:
+def _scan_good_pairs(sources, inv1: InvariantReport, shift: ShiftPair, depth: int,
+                     prec: Precision) -> Tuple[Optional[Dict[str, Any]], int]:
     """(witness of the first good pair whose order differs, or None; undecided count).
 
-    A pair whose gaps lie within the noise floor is undecided; one past a
-    solver table is skipped.
+    A pair whose gaps lie within the rounding floor is undecided.
     """
     x1, y1, x2, y2 = sources
     A, tau = inv1.A, inv1.tau_prog
+    floor = mpf(2) ** (10 - prec.bits)
     undecided = 0
-    for n in range(1, scan_depth + 1):
+    for n in range(1, depth + 1):
         pos = A * n + tau
         m = int(mp.nint(pos))
         if m < 1:
@@ -340,11 +315,8 @@ def _scan_good_pairs(sources, inv1: InvariantReport, shift: ShiftPair, scan_dept
         n2, m2 = n + shift.s, m - shift.p
         if n2 < 1 or m2 < 1:
             continue
-        xv1, yv1, xv2, yv2 = (x1.value(n, prec), y1.value(m, prec),
-                              x2.value(n2, prec), y2.value(m2, prec))
-        if xv1 is None or yv1 is None or xv2 is None or yv2 is None:
-            continue
-        v1, v2 = xv1 - yv1, xv2 - yv2
+        xv1, yv1 = x1.value(n, prec), y1.value(m, prec)
+        v1, v2 = xv1 - yv1, x2.value(n2, prec) - y2.value(m2, prec)
         sfloor = floor * max(1, abs(v1), abs(v2))
         s1 = _sign_with_floor(v1, sfloor)
         s2 = _sign_with_floor(v2, sfloor)
@@ -370,38 +342,24 @@ def _scan_good_pairs(sources, inv1: InvariantReport, shift: ShiftPair, scan_dept
     return None, undecided
 
 
-def _word_check(sources, lengths: Tuple[int, int], shift: ShiftPair,
-                prec: Precision) -> WordShiftVerdict:
-    x1, y1, x2, y2 = sources
-    tie = mpf(prec.tol) * mpf(2) ** (-prec.bits // 4)
-    w1 = interleaving_word(x1, y1, lengths[0], prec, tie_tol=tie)
-    w2 = interleaving_word(x2, y2, lengths[1], prec, tie_tol=tie)
-    return words_equivalent_up_to_shift(w1, w2, shift)
-
-
 def compare(
     f1: HeartFamily,
     f2: HeartFamily,
     prec: Precision,
     depth: int = 10 ** 4,
     bounds: Optional[SearchBounds] = None,
-    word_len: int = 2000,
-    use_solver: bool = False,
-    solver_N: int = 24,
 ) -> ObstructionReport:
     """Decide what obstructs an order-preserving identification of two families.
 
     Pipeline: (a) relative densities A must agree; (b) offsets tau must
     agree modulo (1, A) via an integer shift (s, p); (c) the interleaving
     order of the two progression pairs, sampled at good pairs
-    |A n + tau - m| < 1/n up to n = depth, must coincide under the shift;
-    (d) truncated interleaving words must agree under the shift.  A
-    verdict of "inequivalent" always carries a concrete failed congruence
-    or an order witness; "possibly-equivalent" is not a proof.
-
-    With use_solver the progression values are taken from the connection
-    solver (indices up to solver_N) instead of the closed model, closing
-    the loop between the two routes.
+    |A n + tau - m| < 1/n up to n = depth, must coincide under the shift.
+    Past the head, where the geometric terms are below 1/n, letters can
+    change order only at a good pair, and the head's order is no invariant
+    of the germ, so the good pairs are the whole order check.  A verdict of
+    "inequivalent" always carries a concrete failed congruence or an
+    order witness; "possibly-equivalent" is not a proof.
     """
     if depth < 1:
         raise InvalidInputError(f"depth must be >= 1, got {depth}")
@@ -432,27 +390,12 @@ def compare(
         if shift is None:
             return report("offsets tau incongruent modulo (1, A) within the shift box")
 
-        if use_solver:
-            sources = _solver_sources(f1, f2, inv1, shift, solver_N, prec)
-            scan_depth = min(depth, solver_N)
-            wl = min(word_len, 2 * scan_depth)
-            lengths = (min(wl, _table_letters(*sources[:2])), min(wl, _table_letters(*sources[2:])))
-        else:
-            sources = (*_progressions(inv1), *_progressions(inv2))
-            scan_depth, lengths = depth, (word_len, word_len)
-        # Solver values carry bisection error ~ tol; model values only rounding.
-        floor = mpf(prec.tol) * 64 if use_solver else mpf(2) ** (10 - prec.bits)
-        witness, undecided = _scan_good_pairs(sources, inv1, shift, scan_depth, floor, prec)
+        sources = (*_progressions(inv1), *_progressions(inv2))
+        witness, undecided = _scan_good_pairs(sources, inv1, shift, depth, prec)
         if witness is not None:
             return report("interleaving order disagrees at a good pair (window/base obstruction)",
-                          shift, witness, scan_depth, undecided)
-
-        wv = _word_check(sources, lengths, shift, prec)
-        margins["word_overlap"] = wv.overlap_letters
-        if not wv.equivalent:
-            return report("interleaving words disagree under the matched shift", shift,
-                          {"word_disagreement": wv.first_disagreement}, scan_depth, undecided)
-        return report(None, shift, None, scan_depth, undecided)
+                          shift, witness, depth, undecided)
+        return report(None, shift, None, depth, undecided)
 
 
 def _mark_argument(ln_a):

@@ -302,21 +302,19 @@ def interleaving_word(p1, p2, N: int, prec: Precision, tie_tol=None) -> Interlea
     """First N letters of the ascending merge of {x_n} and {y_m}, n, m >= 1.
 
     A collision within tie_tol (default prec.tol) has no well-defined
-    order and raises TieError with the colliding indices.  For two
-    PerturbedProgressions the merge loop runs only until both geometric
-    terms are below tie_tol; the rest is the exact staircase of the
-    arithmetic parts.  Near a tie the whole word is rebuilt by the merge
-    loop, so the letters, or the TieError, are always the merge loop's.
+    order and raises TieError with the colliding indices.  The merge loop
+    runs only until both geometric terms are below tie_tol; the rest is
+    the exact staircase of the arithmetic parts.  Near a tie the whole
+    word is rebuilt by the merge loop, so the letters, or the TieError,
+    are always the merge loop's.
     """
     if N < 0:
         raise InvalidInputError(f"need N >= 0 letters, got {N}")
     with prec.work():
         tol = mpf(tie_tol) if tie_tol is not None else mpf(prec.tol)
-        tail = None
-        if isinstance(p1, PerturbedProgression) and isinstance(p2, PerturbedProgression):
-            stop = (_head_index(p1, tol, N), _head_index(p2, tol, N))
-            head, n, m = _merge(p1, p2, N, tol, prec, stop)
-            tail = _staircase_tail(p1, p2, n, m, N - len(head), tol, prec)
+        stop = (_head_index(p1, tol, N), _head_index(p2, tol, N))
+        head, n, m = _merge(p1, p2, N, tol, prec, stop)
+        tail = _staircase_tail(p1, p2, n, m, N - len(head), tol, prec)
         if tail is None:
             head, tail = _merge(p1, p2, N, tol, prec)[0], b""
         return InterleavingWord._from_digits(head + tail)
@@ -413,12 +411,13 @@ def reconstruct_invariants(word: InterleavingWord, prec: Precision) -> WordRecon
     """Recover (A, tau) from letters alone (unperturbed source, length >= 100).
 
     The m-th Y letter after c(m) X letters gives m - A (c(m)+1) < tau and,
-    for c(m) >= 1, tau < m - A c(m): a convex polygon with rational
-    vertices.  Its A interval (a1, a2) and tau interval (L(a2), U(a1)) are
-    found exactly by Newton steps on these constraints in integers, then
-    rounded once at working precision; A and tau are their midpoints.  An
-    empty region means the word is not an interleaving of any such pair;
-    an unbounded one, that c(m) spans fewer than 2 values.
+    for c(m) >= 1, tau < m - A c(m), as X letters after the last Y do for
+    m = #Y + 1, c = #X: a convex polygon with rational vertices.  Its A
+    interval (a1, a2) and tau interval (L(a2), U(a1)) are found exactly by
+    Newton steps on these constraints in integers, then rounded once at
+    working precision; A and tau are their midpoints.  An empty region
+    means the word is not an interleaving of any such pair; an unbounded
+    one, that c(m) spans fewer than 2 values.
     """
     nx, ny = word.x_count, word.y_count
     if nx + ny < 100:
@@ -437,6 +436,8 @@ def reconstruct_invariants(word: InterleavingWord, prec: Precision) -> WordRecon
     m_up = np.r_[1, m_lo[:-1] + 1]
     if c_up[0] == 0:
         m_up, c_up = m_up[1:], c_up[1:]
+    if nx > c_up[-1]:
+        m_up, c_up = np.r_[m_up, ny + 1], np.r_[c_up, nx]
     # Every constraint line has slope <= -1, so L and U decrease and tau
     # spans (L(a2), U(a1)).
     a1, tau_hi = _newton_end(m_lo, k_lo, m_up, c_up, right=True)

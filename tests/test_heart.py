@@ -9,11 +9,13 @@ from polylab import (
     DomainError,
     HeartFamily,
     InvalidInputError,
+    PolylabError,
     RangeError,
     SolverError,
     compare,
     connection_problems,
     engineer_base_mismatch,
+    generate_sequence,
     invariants,
     pair_invariants,
     progression_model,
@@ -211,7 +213,7 @@ def test_re_mark_leaving_unit_interval_raises(prec):
 
 def test_compare_family_with_itself(prec):
     fam = example_family()
-    report = compare(fam, fam, prec, depth=1500, word_len=500)
+    report = compare(fam, fam, prec, depth=1500)
     assert report.verdict == "possibly-equivalent"
     assert (report.shift.s, report.shift.p) == (0, 0)
     assert report.undecided == 0
@@ -220,7 +222,7 @@ def test_compare_family_with_itself(prec):
 
 def test_compare_after_re_marking(prec):
     fam = example_family()
-    report = compare(fam, re_mark(fam, 1, 1, prec), prec, depth=1500, word_len=500)
+    report = compare(fam, re_mark(fam, 1, 1, prec), prec, depth=1500)
     assert report.verdict == "possibly-equivalent"
     assert (report.shift.s, report.shift.p) == (1, 0)
     with prec.work():
@@ -231,7 +233,7 @@ def test_compare_after_re_marking(prec):
 def test_compare_density_mismatch(prec):
     f1 = example_family()
     f2 = HeartFamily(lam="0.52", mu=5, C1=2, C2=3, B1="0.1", B2="0.2")
-    report = compare(f1, f2, prec, depth=100, word_len=100)
+    report = compare(f1, f2, prec, depth=100)
     assert report.inequivalent
     assert "densities" in report.reason
 
@@ -241,7 +243,7 @@ def test_compare_offset_mismatch(prec):
     # tau falls off the (1, A) lattice.
     f1 = example_family()
     f2 = HeartFamily(lam="0.5", mu=5, C1=2, C2=3, B1="0.1", B2="0.37")
-    report = compare(f1, f2, prec, depth=100, word_len=100)
+    report = compare(f1, f2, prec, depth=100)
     assert report.inequivalent
     assert "tau" in report.reason
     assert report.margins["tau_best_residual"] > 0
@@ -253,13 +255,13 @@ def test_compare_engineered_base_mismatch(prec):
     with prec.work():
         t1, t2 = meta["threshold1"], meta["threshold2"]
         assert min(t1, t2) < meta["D"] < max(t1, t2)
-    report = compare(f1, f2, prec, depth=3000, word_len=600)
+    report = compare(f1, f2, prec, depth=3000)
     assert report.inequivalent
     assert "good pair" in report.reason
     assert report.witness["n"] <= 3000
     assert report.witness["order1"] != report.witness["order2"]
     # verdict symmetry: the roles of the families may swap the witness
-    mirrored = compare(f2, f1, prec, depth=3000, word_len=600)
+    mirrored = compare(f2, f1, prec, depth=3000)
     assert mirrored.inequivalent
 
 
@@ -277,20 +279,69 @@ def test_engineer_diverging_offset_raises_solver_error(prec):
         engineer_base_mismatch(fam, "0.896802038895181", 24, prec)
 
 
-def test_compare_solver_route_agrees(prec):
+def test_solver_tables_order_like_the_model_and_its_re_marking(prec):
+    # At every index n <= 8 with m = nint(A n + tau) >= 1, the solver's
+    # z_loop(n) - z_outer(m) has the sign of the model's, for the family
+    # and its re-marking by one loop turn, and the re-marked family at
+    # (n + 1, m) orders as the original at (n, m): the shift (1, 0).
     fam = example_family()
-    report = compare(fam, fam, prec, use_solver=True, solver_N=8, word_len=40)
-    assert report.verdict == "possibly-equivalent"
-    assert (report.shift.s, report.shift.p) == (0, 0)
-    assert (report.checked_depth, report.undecided) == (8, 0)
-    # the tabulated sequences end, so the words stop short of word_len
-    assert report.margins["word_overlap"] == 16
-    marked = compare(fam, re_mark(fam, 1, 1, prec), prec,
-                     use_solver=True, solver_N=8, word_len=40)
-    assert marked.verdict == "possibly-equivalent"
-    assert (marked.shift.s, marked.shift.p) == (1, 0)
-    assert (marked.checked_depth, marked.undecided) == (8, 0)
-    assert marked.margins["word_overlap"] == 15
+    inv = invariants(fam, prec)
+    m_cap = int(mp.nint(inv.A * 9 + inv.tau_prog)) + 6
+    tables = []
+    for f in (fam, re_mark(fam, 1, 1, prec)):
+        loop, outer = connection_problems(f, prec)
+        tables.append((generate_sequence(loop, 9, prec).entries,
+                       generate_sequence(outer, m_cap, prec).entries,
+                       *progression_model(f, prec)))
+
+    def orders(table, n, m):
+        z, w, x, y = table
+        return mp.sign(z[n].z - w[m].z), mp.sign(x.value(n, prec) - y.value(m, prec))
+
+    pairs = 0
+    with prec.work():
+        for n in range(1, 9):
+            m = int(mp.nint(inv.A * n + inv.tau_prog))
+            if m < 1:
+                continue
+            solver, model = orders(tables[0], n, m)
+            marked, marked_model = orders(tables[1], n + 1, m)
+            assert solver == model == marked == marked_model != 0
+            pairs += 1
+    assert pairs == 7
+
+
+def test_compare_accepts_re_marked_random_families(prec):
+    # A family and its re-marking by k loop turns are one vector field;
+    # the head letters before the geometric terms fall below 1/n may be
+    # out of order, yet no good pair up to depth 500 may disagree.
+    rng = random.Random(5)
+    for i in range(120):
+        k = (1, -1, 2, -2, 3, -3)[i % 6]
+        fam = random_family(rng, prec)
+        report = compare(fam, re_mark(fam, 1, k, prec), prec, depth=500)
+        assert report.verdict == "possibly-equivalent", (i, k, report.reason)
+        assert (report.shift.s, report.shift.p) == (k, 0)
+        assert report.undecided == 0
+
+
+def test_compare_rejects_engineered_random_pairs(prec):
+    # 20 engineered base mismatches stay inequivalent at a good pair;
+    # draws the engineering cannot realize are skipped.
+    rng = random.Random(11)
+    found = 0
+    while found < 20:
+        fam = random_family(rng, prec)
+        with prec.work():
+            new_lam = mpf(fam.lam) * mpf(rng.uniform(1.05, 1.15))
+        try:
+            f1, f2, _ = engineer_base_mismatch(fam, new_lam, rng.randint(20, 40), prec)
+        except PolylabError:
+            continue
+        report = compare(f1, f2, prec, depth=10 ** 4)
+        assert report.inequivalent and "good pair" in report.reason
+        assert report.witness["order1"] != report.witness["order2"]
+        found += 1
 
 
 def test_compare_model_route_evaluates_invariants_once_per_family(prec, monkeypatch):

@@ -35,7 +35,6 @@ from polylab import (
     words_equivalent_up_to_shift,
 )
 from polylab.connections import ConnectionEntry
-from polylab.heart import _Table, _table_letters
 from tests.conftest import random_family
 
 
@@ -319,7 +318,8 @@ def _sliver_oracle(word: InterleavingWord):
     """(a1, a2, tau_lo, tau_hi) as Fractions from every pair of constraints, or the error.
 
     The lower constraint m_i - a k_i < tau (k = c + 1) and the upper one
-    tau < m_j - a c_j (c >= 1) are compatible iff a d > m_i - m_j with
+    tau < m_j - a c_j (c >= 1, and m = #Y + 1, c = #X when X letters
+    follow the last Y) are compatible iff a d > m_i - m_j with
     d = k_i - c_j.  Floats only shortlist the pairs within 1e-9 of the
     extreme ratio; the extreme itself is taken among them in Fractions.
     """
@@ -327,10 +327,13 @@ def _sliver_oracle(word: InterleavingWord):
     if c[-1] - c[0] < 2:
         return "unbounded"
     m = np.arange(1, len(c) + 1)
+    m_up, c_up = m[c >= 1], c[c >= 1]
+    if word.x_count > c[-1]:
+        m_up, c_up = np.r_[m_up, len(c) + 1], np.r_[c_up, word.x_count]
     lower = list(zip(m.tolist(), (c + 1).tolist()))
-    upper = [(mj, cj) for mj, cj in zip(m.tolist(), c.tolist()) if cj >= 1]
-    num = m[:, None] - m[c >= 1][None, :]
-    den = (c + 1)[:, None] - c[c >= 1][None, :]
+    upper = list(zip(m_up.tolist(), c_up.tolist()))
+    num = m[:, None] - m_up[None, :]
+    den = (c + 1)[:, None] - c_up[None, :]
     if (num[den == 0] >= 0).any():
         return "inconsistent"
 
@@ -349,16 +352,18 @@ def _sliver_oracle(word: InterleavingWord):
 
 
 def test_reconstruction_matches_the_pairwise_oracle(prec):
-    # 150 words of 100-400 letters, A in [0.05, 40], tau in [-3, 3], about
-    # 30% with one flipped letter: the four ends are the oracle's rationals
+    # 150 words of 100-400 letters, A in [0.05, 40], then 120 with A in
+    # [0.02, 0.5], many ending in X letters; tau in [-3, 3], about 30%
+    # with one flipped letter: the four ends are the oracle's rationals
     # rounded at working precision, and the errors are the oracle's.
     rng = random.Random(8)
     ref = ArithmeticProgression(step=1, free=0)
     outcomes = {"unbounded": 0, "inconsistent": 0, "consistent": 0}
-    for _ in range(150):
+    for draw in range(270):
         N = rng.randint(100, 400)
         with prec.work():
-            x = ArithmeticProgression(step=mpf(rng.uniform(0.05, 40)), free=mpf(rng.uniform(-3, 3)))
+            A = rng.uniform(0.05, 40) if draw < 150 else rng.uniform(0.02, 0.5)
+            x = ArithmeticProgression(step=mpf(A), free=mpf(rng.uniform(-3, 3)))
         letters = interleaving_word(x, ref, N, prec).letters
         if rng.random() < 0.3:
             i = rng.randrange(N)
@@ -377,6 +382,20 @@ def test_reconstruction_matches_the_pairwise_oracle(prec):
         assert (*rec.A_interval, *rec.tau_interval) == rounded
         outcomes["consistent"] += 1
     assert outcomes["consistent"] >= 75 and outcomes["inconsistent"] >= 20
+
+
+def test_reconstruction_uses_the_x_letters_after_the_last_y(prec):
+    # The word ends in X letters, which bound A #X + tau < #Y + 1; without
+    # that constraint the A interval runs on to 1/3.
+    with prec.work():
+        word = interleaving_word(ArithmeticProgression(step="0.331137", free="-1.23304"),
+                                 ArithmeticProgression(step=1, free=0), 264, prec)
+    assert word.letters.endswith("X") and word.x_count > word.staircase()[-1]
+    rec = reconstruct_invariants(word, prec)
+    with prec.work():
+        lo, hi = rec.A_interval
+        assert lo < mpf("0.331137") < hi < mpf("0.3313")
+        assert rec.tau_interval[0] < mpf("-1.23304") < rec.tau_interval[1]
 
 
 def test_reconstructed_density_is_the_midpoint_of_its_interval(prec):
@@ -517,7 +536,7 @@ def _outcome(build, p1, p2, N, prec, tie_tol):
 
 
 def _word_cases(bits):
-    """(p1, p2, N, tie_tol) at one precision: 74 seeded pairs of every kind."""
+    """(p1, p2, N, tie_tol) at one precision: 73 seeded pairs of every kind."""
     rng = random.Random(bits)
     prec = Precision(bits=bits)
     AP = ArithmeticProgression
@@ -570,17 +589,13 @@ def _word_cases(bits):
             x, y = progression_model(random_family(rng, prec), prec)
             cases.append((x, y, (300, 2000)[i % 2], None))
             cases.append((x, y, (2000, 300)[i % 2], compare_tol))
-        # a solver table, which only the merge loop reads
-        x, y = progression_model(random_family(rng, prec), prec)
-        tx, ty = (_Table((n, p.value(n, prec)) for n in range(1, 200)) for p in (x, y))
-        cases.append((tx, ty, _table_letters(tx, ty), compare_tol))
     return prec, cases
 
 
 @pytest.mark.parametrize("bits", [64, 96, 256])
 def test_interleaving_word_is_bit_identical_to_merge_loop(bits):
     prec, cases = _word_cases(bits)
-    assert len(cases) == 74
+    assert len(cases) == 73
     ties = 0
     for p1, p2, N, tie_tol in cases:
         want = _outcome(merge_oracle, p1, p2, N, prec, tie_tol)

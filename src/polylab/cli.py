@@ -147,7 +147,11 @@ def _make_precision(args) -> Precision:
     bits = args.bits if args.bits is not None else default_bits()
     if args.tol is not None:
         with mp.workprec(max(bits, 64)):
-            return Precision(bits=bits, tol=mpf(args.tol))
+            try:
+                tol = mpf(args.tol)
+            except ValueError:
+                raise InvalidInputError(f"--tol is not a valid number: {args.tol!r}") from None
+            return Precision(bits=bits, tol=tol)
     return Precision(bits=bits)
 
 
@@ -175,10 +179,6 @@ def _invariants_payload(inv: heart.InvariantReport) -> Dict[str, Any]:
         "ln_abs_Xi": inv.ln_abs_Xi,
         "scale_residues": None if not inv.xi_nonzero else {
             "mod_step1": inv.res_mod_step1,
-            "mod_step2": inv.res_mod_step2,
-            "joint": inv.res_joint,
-            "joint_shift": list(inv.res_joint_shift),
-            "joint_bound": inv.joint_bound,
         },
     }
 
@@ -247,7 +247,8 @@ def cmd_compare(args, prec: Precision) -> int:
 
 
 def cmd_liouville(args, prec: Precision) -> int:
-    spec = _parse_liouville_spec(_load_json(args.spec), prec)
+    doc = _load_json(args.spec)
+    spec = _parse_liouville_spec(doc, prec)
     A, witnesses = liouville.construct_A(spec, args.depth, prec, seed=args.seed)
     ver = liouville.verify(A, spec, witnesses, prec)
     if not ver.ok:
@@ -255,8 +256,7 @@ def cmd_liouville(args, prec: Precision) -> int:
     report = {
         "config": _config(args, prec, depth=args.depth, seed=args.seed),
         "spec": {
-            "gamma": _fmt(mpf(spec.gamma), prec.bits), "u": _fmt(mpf(spec.u), prec.bits),
-            "Xi": _fmt(mpf(spec.Xi), prec.bits), "lambda": _fmt(mpf(spec.lam), prec.bits),
+            **{k: doc[k] for k in ("gamma", "u", "Xi", "lambda")},
             "q_list": [str(q) for q in spec.q_list],
             "N_schedule": list(spec.N_schedule),
         },

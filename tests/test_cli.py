@@ -357,7 +357,7 @@ def test_non_finite_field_exit_2(tmp_path, capsys, value):
 
 @pytest.mark.parametrize("flag, value", [("--depth", "-5"), ("--depth", "0"),
                                          ("--max-shift", "-1"), ("--max-shift", "10001"),
-                                         ("--tol", "inf")])
+                                         ("--tol", "inf"), ("--tol", "abc")])
 def test_compare_rejects_bad_arguments_exit_2(tmp_path, capsys, flag, value):
     path = jfile(tmp_path, "fam.json", EXAMPLE)
     code, out, err = run(capsys, "compare", path, path, flag, value)

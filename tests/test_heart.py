@@ -84,11 +84,9 @@ def test_invariants_match_reference(prec):
 def test_invariants_residues_are_reduced(prec):
     inv = invariants(example_family(), prec)
     with prec.work():
-        for res, step in ((inv.res_mod_step2, inv.gamma), (inv.res_mod_step1, inv.alpha)):
-            assert 0 <= res < step
-            turns = (inv.ln_abs_Xi - res) / step
-            assert abs(turns - mp.nint(turns)) < mpf("1e-30")
-        assert abs(inv.res_joint) <= inv.res_mod_step2
+        assert 0 <= inv.res_mod_step1 < inv.alpha
+        turns = (inv.ln_abs_Xi - inv.res_mod_step1) / inv.alpha
+        assert abs(turns - mp.nint(turns)) < mpf("1e-30")
 
 
 def test_inadmissible_mark_raises_domain_error(prec):
@@ -108,7 +106,7 @@ def test_degenerate_scale_coefficient_flagged(prec):
     inv = invariants(fam, prec)
     assert not inv.xi_nonzero
     assert inv.ln_abs_Xi is None
-    assert inv.res_mod_step2 is None
+    assert inv.res_mod_step1 is None
 
 
 def test_scale_identity_on_random_families(prec):
@@ -271,11 +269,12 @@ def test_engineer_rejects_tiny_index(prec):
 
 
 def test_engineer_diverging_offset_raises_solver_error(prec):
-    # On this family the offset iteration runs ln a1 = 1.0, 2.6, 10.4, 827, ...
+    # On this family the first offset step already leaves the good-pair
+    # window; iterated further, ln a1 would run 1.0, 2.6, 10.4, 827, ...
     fam = HeartFamily(lam="0.7887600743819048", mu="4.971476089735281",
                       C1="0.2038385795129057", C2="0.36295935571212634",
                       B1="0.000209060904088355", B2="0.0525513611809926")
-    with pytest.raises(SolverError, match="diverged"):
+    with pytest.raises(SolverError, match="good pair"):
         engineer_base_mismatch(fam, "0.896802038895181", 24, prec)
 
 
@@ -314,7 +313,8 @@ def test_solver_tables_order_like_the_model_and_its_re_marking(prec):
 def test_compare_accepts_re_marked_random_families(prec):
     # A family and its re-marking by k loop turns are one vector field;
     # the head letters before the geometric terms fall below 1/n may be
-    # out of order, yet no good pair up to depth 500 may disagree.
+    # out of order, yet no good pair up to depth 500 may disagree.  The
+    # Xi residue mod ln(1/nu1) matches, k whole turns apart.
     rng = random.Random(5)
     for i in range(120):
         k = (1, -1, 2, -2, 3, -3)[i % 6]
@@ -323,6 +323,8 @@ def test_compare_accepts_re_marked_random_families(prec):
         assert report.verdict == "possibly-equivalent", (i, k, report.reason)
         assert (report.shift.s, report.shift.p) == (k, 0)
         assert report.undecided == 0
+        assert report.xi_congruence["match_step1"], (i, k)
+        assert report.xi_congruence["res_step1_turns"] == k
 
 
 def test_compare_rejects_engineered_random_pairs(prec):

@@ -14,7 +14,6 @@ from .errors import (
     BracketError,
     DegenerateExponentError,
     DomainError,
-    FitFailureError,
     InsufficientDataError,
     InvalidInputError,
     ModelViolationError,
@@ -41,17 +40,13 @@ from .monodromy import (
     envelope_profile,
 )
 from .connections import (
-    AsymptoticModel,
     ConnectionProblem,
     ConnectionSequence,
     asymptotic_model,
-    beta,
     bracket_double_logs,
     generate_sequence,
-    recover_parameters,
     residual_analysis,
     solve_connection,
-    theta,
 )
 from .progressions import (
     ArithmeticProgression,

@@ -7,13 +7,13 @@ z = ln(-ln eps) the sequence is asymptotically affine in n:
 
     z_n = -n ln L + beta + theta L^n + o(L^n),      L = Lambda(0),
 
-with explicit beta and theta.  This module solves the connection
-equations at arbitrary precision, generates sequences, and fits the
-asymptotic model back out of data.
+with beta = ln a, theta = -t/a, t = ln C/(1 - L) and a = t - ln B.  To
+all orders in L^n, z_n = -n ln L + ln(a - t L^n) up to terms of order
+exp(-(1 - L) e^(z_n)).  This module solves the connection equations at
+arbitrary precision and generates sequences.
 """
 
 from dataclasses import dataclass
-from statistics import median
 from typing import Any, Callable, Tuple
 
 from mpmath import mp, mpf
@@ -22,12 +22,12 @@ from .errors import (
     BracketError,
     DegenerateExponentError,
     DomainError,
-    FitFailureError,
     InvalidInputError,
     ModelViolationError,
 )
 from .monodromy import PerturbedPowerFamily, _step_log
 from .numerics import DoubleLogValue, Precision, _absorb_cap, _check_finite
+from .progressions import PerturbedProgression
 
 
 def _mark_terms(C, nu, B, name: str = "B"):
@@ -46,26 +46,6 @@ def _mark_terms(C, nu, B, name: str = "B"):
     return t, a
 
 
-def beta(C, nu, B, prec: Precision):
-    """Free term of the double-log asymptotics: ln(ln C / (1 - nu) - ln B).
-
-    Defined when the argument is positive; nu == 1 is degenerate.
-    """
-    with prec.work():
-        return mp.log(_mark_terms(C, nu, B)[1])
-
-
-def theta(C, Lambda, B, prec: Precision):
-    """Coefficient of the geometric correction L^n in the double-log asymptotics.
-
-    theta = -(ln C/(1-L) - ln B)^(-1) * ln C/(1-L); equivalently
-    -exp(-beta) * ln C/(1-L).  C = 1 gives theta = 0.
-    """
-    with prec.work():
-        t, a = _mark_terms(C, Lambda, B)
-        return -t / a
-
-
 @dataclass(frozen=True)
 class ConnectionProblem:
     """Connection equation f_eps^(n+1)(0) = B(eps) with B(eps) = B0 + B1 eps."""
@@ -80,31 +60,14 @@ class ConnectionProblem:
             raise DomainError(f"B0 must lie in (0, 1), got {self.B0}")
 
 
-@dataclass(frozen=True)
-class AsymptoticModel:
-    """z_n = -n ln Lambda + beta + theta Lambda^n."""
-
-    Lambda: Any
-    beta: Any
-    theta: Any
-
-    def __post_init__(self):
-        _check_finite(self, "Lambda", "beta", "theta")
-        if not (0 < mpf(self.Lambda) < 1):
-            raise InvalidInputError(f"Lambda must lie in (0, 1), got {self.Lambda}")
-
-    def predict(self, n: int, prec: Precision):
-        with prec.work():
-            L = mpf(self.Lambda)
-            return -n * mp.log(L) + mpf(self.beta) + mpf(self.theta) * L ** n
-
-
-def asymptotic_model(prob: ConnectionProblem, prec: Precision) -> AsymptoticModel:
-    """Model induced by the frozen constants (C, Lambda(0), B(0))."""
+def asymptotic_model(prob: ConnectionProblem, prec: Precision) -> PerturbedProgression:
+    """Two-term model z_n = -n ln L + beta + theta L^n of the frozen constants
+    (C, L = Lambda(0), B(0)): step -ln L, free term beta, coefficient theta, base L."""
     fam = prob.family
     with prec.work():
-        t, a = _mark_terms(fam.C, fam.Lambda0, prob.B0)
-        return AsymptoticModel(Lambda=mpf(fam.Lambda0), beta=mp.log(a), theta=-t / a)
+        L = mpf(fam.Lambda0)
+        t, a = _mark_terms(fam.C, L, prob.B0)
+        return PerturbedProgression(step=-mp.log(L), free=mp.log(a), coeff=-t / a, base=L)
 
 
 @dataclass(frozen=True)
@@ -207,7 +170,7 @@ def _bisect_connection(prob: ConnectionProblem, n: int, prec: Precision):
     """
     with prec.work():
         model = asymptotic_model(prob, prec)
-        center = model.predict(n, prec)
+        center = model.value(n, prec)
         tol = mpf(prec.tol)
         gap = _orbit_gap_fn(prob, n, prec)
         r = mpf(_BRACKET_RADIUS)
@@ -319,15 +282,15 @@ class ResidualReport:
     verdict: str                     # "consistent" | "inconsistent"
 
 
-def _residual_rows(seq: ConnectionSequence, model: AsymptoticModel, prec: Precision):
+def _residual_rows(seq: ConnectionSequence, model: PerturbedProgression, prec: Precision):
     """(entry, prediction, R_n, R_n / L^n) per entry; the last is 0 when |R_n| is
     within the entry's noise floor, its bracket width plus 16 ulp of z_n."""
     with prec.work():
-        L = mpf(model.Lambda)
+        L = mpf(model.base)
         ulp = mpf(2) ** (4 - prec.bits)
         rows = []
         for e in seq.entries:
-            pred = model.predict(e.n, prec)
+            pred = model.value(e.n, prec)
             r = mpf(e.z) - pred
             scale = L ** e.n
             q = r / scale
@@ -337,7 +300,7 @@ def _residual_rows(seq: ConnectionSequence, model: AsymptoticModel, prec: Precis
 
 
 def residual_analysis(
-    seq: ConnectionSequence, model: AsymptoticModel, prec: Precision
+    seq: ConnectionSequence, model: PerturbedProgression, prec: Precision
 ) -> ResidualReport:
     """Residuals R_n = z_n - prediction and the o(L^n) consistency verdict.
 
@@ -361,73 +324,4 @@ def residual_analysis(
             normalized=tuple(norm),
             tail_start=tail_start,
             verdict="consistent" if ok else "inconsistent",
-        )
-
-
-@dataclass(frozen=True)
-class RecoveryReport:
-    model: AsymptoticModel
-    theta_flagged_zero: bool
-    ratio_spread: Any
-
-
-def recover_parameters(seq: ConnectionSequence, prec: Precision) -> RecoveryReport:
-    """Fit (Lambda, beta, theta) back out of a sequence.
-
-    Second differences of z_n kill both the linear part and the free
-    term and leave theta L^n (1-L)^2, an exactly geometric tail; ratios
-    of consecutive second differences estimate L, then theta, then beta
-    by extrapolated intercept.  A tail below the noise floor flags
-    theta = 0 (no geometric correction resolvable).
-    """
-    if len(seq) < 10:
-        raise InvalidInputError(f"need at least 10 entries, got {len(seq)}")
-    with prec.work():
-        ns = [e.n for e in seq.entries]
-        if any(ns[i + 1] - ns[i] != 1 for i in range(len(ns) - 1)):
-            raise InvalidInputError("entries must have consecutive indices")
-        zs = [mpf(e.z) for e in seq.entries]
-        d1 = [b - a for a, b in zip(zs, zs[1:])]
-        d2 = [b - a for a, b in zip(d1, d1[1:])]
-        zmax = max(abs(z) for z in zs)
-        floor = 16 * (max(mpf(e.bracket_width) for e in seq.entries) + zmax * mpf(2) ** (4 - prec.bits))
-
-        usable = [i for i in range(len(d2)) if abs(d2[i]) > 4 * floor]
-        if len(usable) < 3:
-            half = d1[len(d1) // 2:]
-            step = sum(half) / len(half)
-            L = mp.exp(-step)
-            if not (0 < L < 1):
-                raise FitFailureError(f"step estimate exp(-{step}) outside (0, 1)")
-            b = sum(zs[i] + ns[i] * mp.log(L) for i in range(len(zs))) / len(zs)
-            return RecoveryReport(
-                model=AsymptoticModel(Lambda=L, beta=b, theta=mpf(0)),
-                theta_flagged_zero=True,
-                ratio_spread=mpf(0),
-            )
-
-        pairs = [(i, i + 1) for i in usable if i + 1 in set(usable)]
-        if len(pairs) < 2:
-            raise FitFailureError("resolvable second differences are too sparse")
-        ratios = [d2[j] / d2[i] for i, j in pairs]
-        tail = ratios[-max(3, len(ratios) // 3):]
-        if any(r <= 0 for r in tail):
-            raise FitFailureError("second differences alternate in sign; residuals not geometric")
-        med = mpf(median(tail))
-        spread = max(abs(r / med - 1) for r in tail)
-        if spread > mpf("0.3"):
-            raise FitFailureError(
-                f"second-difference ratios vary by {spread}; residuals not geometric"
-            )
-        L = med
-        if not (0 < L < 1):
-            raise FitFailureError(f"geometric ratio {L} outside (0, 1)")
-        window = usable[-max(3, len(usable) // 3):]
-        th = sum(d2[i] / (L ** ns[i] * (1 - L) ** 2) for i in window) / len(window)
-        half = range(len(zs) // 2, len(zs))
-        b = sum(zs[i] + ns[i] * mp.log(L) - th * L ** ns[i] for i in half) / len(half)
-        return RecoveryReport(
-            model=AsymptoticModel(Lambda=L, beta=b, theta=th),
-            theta_flagged_zero=False,
-            ratio_spread=spread,
         )

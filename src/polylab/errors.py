@@ -38,10 +38,6 @@ class ModelViolationError(SolverError):
     """Observed behaviour contradicts a structural assumption (monotonicity, psi >= -1)."""
 
 
-class FitFailureError(SolverError):
-    """Residuals are not geometric; no correction coefficient can be estimated."""
-
-
 class ReconstructionError(SolverError):
     """No invariant pair is consistent with the observed interleaving word."""
 

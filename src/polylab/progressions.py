@@ -35,7 +35,7 @@ from .numerics import Precision, _check_finite, _nearest
 
 @dataclass(frozen=True, slots=True)
 class PerturbedProgression:
-    """x_n = step * n + free + coeff * base^n for n >= 1; coeff = 0 is arithmetic."""
+    """x_n = step * n + free + coeff * base^n for n >= 0; coeff = 0 is arithmetic."""
 
     step: Any
     free: Any
@@ -52,8 +52,8 @@ class PerturbedProgression:
         object.__setattr__(self, "_geometric", mpf(self.coeff) != 0)
 
     def value(self, n: int, prec: Precision):
-        if n < 1:
-            raise InvalidInputError(f"index must be >= 1, got {n}")
+        if n < 0:
+            raise InvalidInputError(f"index must be >= 0, got {n}")
         with prec.work():
             v = mpf(self.step) * n + mpf(self.free)
             if self._geometric:

@@ -5,7 +5,7 @@ import random
 import pytest
 from mpmath import mp, mpf
 
-from polylab import AsymptoticModel, ConnectionSequence, HeartFamily, Precision
+from polylab import ConnectionSequence, HeartFamily, PerturbedProgression, Precision
 from polylab.connections import ConnectionEntry
 from polylab.monodromy import PerturbedPowerFamily
 
@@ -52,12 +52,12 @@ def random_family(rng: random.Random, prec: Precision) -> HeartFamily:
         return HeartFamily(lam=lam, mu=mu, C1=Cs[0], C2=Cs[1], B1=Bs[0], B2=Bs[1])
 
 
-def model_sequence(model: AsymptoticModel, N: int, prec: Precision, extra=None) -> ConnectionSequence:
-    """z_n = model.predict(n) (+ extra(n)) for n = 0..N, with zero bracket widths."""
+def model_sequence(model: PerturbedProgression, N: int, prec: Precision, extra=None) -> ConnectionSequence:
+    """z_n = model.value(n) (+ extra(n)) for n = 0..N, with zero bracket widths."""
     entries = []
     with prec.work():
         for n in range(N + 1):
-            z = model.predict(n, prec)
+            z = model.value(n, prec)
             if extra is not None:
                 z = z + mpf(extra(n))
             entries.append(ConnectionEntry(n=n, z=z, bracket_width=mpf(0)))

@@ -66,8 +66,8 @@ def test_criterion_01_improved_asymptotics():
     zs_hi = {n: solve_connection(prob_hi, n, prec_hi) for n in range(5, 26)}
 
     with prec.work():
-        L, theta = mpf(model.Lambda), mpf(model.theta)
-        resid = [abs(mpf(zs[n].z) - model.predict(n, prec)) / L ** n
+        L, theta = mpf(model.base), mpf(model.coeff)
+        resid = [abs(mpf(zs[n].z) - model.value(n, prec)) / L ** n
                  for n in range(5, 26)]
         assert all(mp.isfinite(r) for r in resid)
         tail = resid[10:]  # n = 15..25

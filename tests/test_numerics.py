@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from polylab import (
-    AsymptoticModel,
     ConnectionProblem,
     DomainError,
     DoubleLogValue,
@@ -48,7 +47,6 @@ _VALID_INPUTS = {
     LiouvilleSpec: dict(gamma=1, u="0.3", Xi="0.7", lam="0.6",
                         q_list=("1/2",), N_schedule=(10,)),
     PerturbedProgression: dict(step=1, free=0),
-    AsymptoticModel: dict(Lambda="0.6", beta="1.2", theta="-0.8"),
 }
 
 
@@ -58,7 +56,6 @@ _VALID_INPUTS = {
     (ConnectionProblem, "B1", "inf"),
     (LiouvilleSpec, "gamma", "inf"), (LiouvilleSpec, "u", "nan"),
     (PerturbedProgression, "step", "inf"), (PerturbedProgression, "free", "nan"),
-    (AsymptoticModel, "beta", "nan"),
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_input_records_reject_non_finite(cls, name, value):
     cls(**_VALID_INPUTS[cls])

@@ -13,7 +13,6 @@ from mpmath import mp, mpf
 from polylab import (
     AmbiguityError,
     ArithmeticProgression,
-    ConnectionSequence,
     InsufficientDataError,
     InterleavingWord,
     InvalidInputError,
@@ -30,11 +29,9 @@ from polylab import (
     pair_invariants,
     progression_model,
     reconstruct_invariants,
-    recover_parameters,
     relative_scale_from_progressions,
     words_equivalent_up_to_shift,
 )
-from polylab.connections import ConnectionEntry
 from tests.conftest import random_family
 
 
@@ -458,24 +455,6 @@ def test_relative_scale_points(prec):
         assert abs(out - mpf("0.7")) < mpf(2) ** -250
     with pytest.raises(InvalidInputError):
         relative_scale_from_progressions(0, 1, "1.5", 1, prec)
-
-
-def test_estimate_base_from_synthetic_values(prec):
-    # Second differences of step n + free + coeff base^n are exactly
-    # geometric, so the geometric-tail fit of connection sequences reads
-    # base and coeff off a progression's values.
-    def sequence(values):
-        return ConnectionSequence(entries=tuple(
-            ConnectionEntry(n=n, z=v, bracket_width=mpf(0)) for n, v in enumerate(values, 1)))
-
-    with prec.work():
-        p = PerturbedProgression(step="1.1", free="-0.4", coeff="-0.37", base="0.73")
-        rec = recover_parameters(sequence([p.value(n, prec) for n in range(1, 40)]), prec)
-        assert not rec.theta_flagged_zero
-        assert abs(rec.model.Lambda - mpf("0.73")) < mpf("1e-60")
-        assert abs(rec.model.theta + mpf("0.37")) < mpf("1e-60")
-        flat = recover_parameters(sequence([mpf(n) for n in range(1, 20)]), prec)
-        assert flat.theta_flagged_zero and flat.model.theta == 0
 
 
 def test_irrationality_report_dichotomy(prec):

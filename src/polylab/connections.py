@@ -159,9 +159,13 @@ def _bisect_connection(prob: ConnectionProblem, n: int, prec: Precision):
     """Returns (w_root, final_bracket_width): the bracket that bisection down
     to prec.tol ends with, found with far fewer evaluations of the gap g.
 
-    Bisection's path depends only on the sign of g at each midpoint.
-    `_locate_root` first narrows the starting bracket to [a, b], at most
-    margin = max(tol, 2^-(bits/2)) 2^-(bits/4) wide.  The halving loop then
+    Bisection's path depends only on its starting bracket and the sign of g
+    at each midpoint.  A closed-form centre c from the connection law
+    z = -n ln L + ln(a - t L^n) comes first: g at c -+ margin/4 usually
+    straddles the root, and each evaluated point only shrinks the bracket
+    that `_locate_root` then narrows to [a, b], at most
+    margin = max(tol, 2^-(bits/2)) 2^-(bits/4) wide.  Neither step moves
+    the starting bracket or decides a midpoint's sign.  The halving loop then
     runs unchanged, except that a midpoint more than margin outside [a, b]
     takes its side's sign without evaluating g.  The rounding noise of g is
     far below slope x margin, so the result is bisection's to the last bit;
@@ -198,7 +202,19 @@ def _bisect_connection(prob: ConnectionProblem, n: int, prec: Precision):
                 ghi = gap(hi)
             doublings += 1
         margin = max(tol, mpf(2) ** -(prec.bits // 2)) * mpf(2) ** -(prec.bits // 4)
-        a, b = _locate_root(gap, lo, glo, hi, ghi, margin, mp.mag((hi - lo) / tol))
+        a, ga, b, gb = lo, glo, hi, ghi
+        # The connection law z = -n ln L + ln(a - t L^n), exact up to exp(-(1 - L) e^z):
+        # two evaluations margin/2 apart usually straddle the root.
+        c = n * model.step + model.free + mp.log1p(model.coeff * model.base ** n)
+        for x in (c - margin / 4, c + margin / 4):
+            if a < x < b:
+                gx = gap(x)
+                if gx < 0:
+                    a, ga = x, gx
+                else:
+                    b, gb = x, gx
+                    break
+        a, b = _locate_root(gap, a, ga, b, gb, margin, mp.mag((hi - lo) / tol))
         while hi - lo > tol:
             mid = (lo + hi) / 2
             if mid == lo or mid == hi:

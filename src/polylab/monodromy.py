@@ -127,23 +127,12 @@ def _step_log(y, lam, lnC, E, eps, psi, cap):
         yb = E
     else:
         psival = mpf(psi(mp.exp(-lam * y), eps))
-        if psival <= -1:
+        if not psival > -1:           # NaN too
             raise ModelViolationError(
-                f"psi(u, eps) = {psival} <= -1 makes the perturbation nonpositive"
+                f"psi(u, eps) = {psival} is not > -1, so the perturbation is not positive"
             )
         yb = E - mp.log(1 + psival)
     return _log_sum(lam * y - lnC, yb, cap)
-
-
-def _deviation(fam: PerturbedPowerFamily, eps, x, L0, prec: Precision):
-    """|f_eps(x) / x^L0 - C| computed through the log chart."""
-    y = LogValue.from_x(x, prec)
-    z = DoubleLogValue.from_eps(eps, prec)
-    yf = apply_family_log(fam, z, y, prec)
-    with prec.work():
-        # ln(f / (C x^L0)) = L0 * y - yf - ln C ... then C*(ratio - 1)
-        lnratio = L0 * mpf(y.y) - mpf(yf.y) - mp.log(mpf(fam.C))
-        return abs(mpf(fam.C) * mp.expm1(lnratio))
 
 
 def envelope_profile(
@@ -166,15 +155,23 @@ def envelope_profile(
         raise InvalidInputError(f"x_count must be >= 1, got {x_count}")
     out = []
     with prec.work():
-        L0 = mpf(fam.Lambda0)
+        L0, C = mpf(fam.Lambda0), mpf(fam.C)
+        lnC, cap = mp.log(C), _absorb_cap(prec)
         for eps in eps_values:
             ev = mpf(eps)
             if not (0 < ev < mpf(x0)):
                 raise InvalidInputError(f"eps = {ev} outside (0, x0)")
+            # eps -> z -> E -> eps' as apply_family_log takes it, once per eps
+            E = mp.exp(mpf(DoubleLogValue.from_eps(ev, prec).z))
+            eps_z = mp.exp(-E)
+            lam = fam.exponent(eps_z, prec)
             llo, lhi = mp.log(ev / 2 if halved_domain else ev), mp.log(mpf(x0))
             khat = mpf(0)
             for j in range(x_count):
                 x = mp.exp(llo + (lhi - llo) * mpf(j + 1) / (x_count + 1))
-                khat = max(khat, _deviation(fam, ev, x, L0, prec))
+                y = -mp.log(x)
+                yf = _step_log(y, lam, lnC, E, eps_z, fam.psi, cap)
+                # |f_eps(x) / x^L0 - C| = |C (exp(L0 y - yf - ln C) - 1)|
+                khat = max(khat, abs(C * mp.expm1(L0 * y - yf - lnC)))
             out.append((ev, khat, khat / ev ** (1 - L0)))
     return out

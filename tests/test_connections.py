@@ -435,9 +435,12 @@ def test_solver_is_bit_identical_to_halving(bits):
 @pytest.mark.parametrize("bits", [256, 512, 1024])
 def test_solver_gap_evaluations_per_solve(bits, gap_calls):
     # The plain halving loop makes 131, 259 and 515 evaluations per solve here.
+    # From n = 12 on the closed-form centre straddles the root at once: two
+    # evaluations for the starting bracket and two around the centre.
     generate_sequence(model_problem(), 25, Precision(bits=bits))
     assert len(gap_calls) == 26
     assert max(gap_calls) <= 25, gap_calls
+    assert max(gap_calls[12:]) <= 4, gap_calls
 
 
 def test_solver_at_exhausted_mantissa_matches_halving(gap_calls):

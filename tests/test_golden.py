@@ -22,6 +22,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 CASES = {
     "invariants_example": (["invariants", "family.json"], 0),
     "sparkle_model": (["sparkle", "model.json", "--terms", "12"], 0),
+    "sparkle_model_long": (["sparkle", "model.json", "--terms", "70"], 0),
     "sparkle_family_outer": (["sparkle", "family.json", "--terms", "5", "--which", "outer"], 0),
     "compare_re_marked": (["compare", "family.json", "family_remarked.json"], 0),
     "compare_density_mismatch": (["compare", "family.json", "family_denser.json"], 10),

@@ -14,6 +14,7 @@ from polylab import (
     ModelViolationError,
     PerturbedPowerFamily,
     PowerMap,
+    Precision,
     apply_family_log,
     apply_log,
     closed_iterate,
@@ -204,6 +205,49 @@ def test_sandwich_rejects_empty_domain(prec):
         envelope_profile(fam, ["0.5"], "0.1", prec)
     with pytest.raises(InvalidInputError):
         envelope_profile(fam, ["1e-6"], "0.1", prec, x_count=0)
+
+
+def _pointwise_profile(fam, eps_values, x0, prec, x_count, halved_domain):
+    """envelope_profile as it was first written: every grid point takes the
+    public log-chart route from x and eps on its own."""
+    out = []
+    with prec.work():
+        L0 = mpf(fam.Lambda0)
+        for eps in eps_values:
+            ev = mpf(eps)
+            llo, lhi = mp.log(ev / 2 if halved_domain else ev), mp.log(mpf(x0))
+            khat = mpf(0)
+            for j in range(x_count):
+                x = mp.exp(llo + (lhi - llo) * mpf(j + 1) / (x_count + 1))
+                y = LogValue.from_x(x, prec)
+                yf = apply_family_log(fam, DoubleLogValue.from_eps(ev, prec), y, prec)
+                lnratio = L0 * mpf(y.y) - mpf(yf.y) - mp.log(mpf(fam.C))
+                khat = max(khat, abs(mpf(fam.C) * mp.expm1(lnratio)))
+            out.append((ev, khat, khat / ev ** (1 - L0)))
+    return out
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("halved_domain", [False, True])
+@pytest.mark.parametrize("fam", [
+    PerturbedPowerFamily(C=2, Lambda0="0.6"),
+    PerturbedPowerFamily(C="1.7", Lambda0="0.45", Lambda1="0.8"),
+    PerturbedPowerFamily(C="2.948", Lambda0="0.683", psi=lambda u, eps: u / 4 + eps / 3),
+], ids=["model", "Lambda1", "psi"])
+def test_envelope_profile_matches_pointwise_route(fam, halved_domain, bits):
+    # Forming the per-eps values once must not move a bit of any row.
+    prec = Precision(bits=bits)
+    eps_values = ("1e-9", "3e-7", "1e-5", "0.002")
+    got = envelope_profile(fam, eps_values, "0.1", prec, halved_domain=halved_domain)
+    want = _pointwise_profile(fam, eps_values, "0.1", prec, 32, halved_domain)
+    assert got == want
+
+
+def test_envelope_profile_rejects_psi_without_value(prec):
+    # A NaN psi must stop the profile, not drop out of its maximum.
+    fam = PerturbedPowerFamily(C=2, Lambda0="0.6", psi=lambda u, eps: mp.nan)
+    with pytest.raises(ModelViolationError):
+        envelope_profile(fam, ["1e-6"], "0.1", prec)
 
 
 def test_envelope_scaling_stays_bounded(prec):

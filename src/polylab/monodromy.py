@@ -113,11 +113,17 @@ def apply_family_log(
     if eps_z is None or eps_z.z == mp.inf:
         return apply_log(fam.frozen(), y, prec)
     with prec.work():
-        E = mp.exp(mpf(eps_z.z))          # -ln eps > 0
-        eps = mp.exp(-E)
-        lam = fam.exponent(eps, prec)
+        E, eps, lam = _eps_values(fam, eps_z.z, prec)
         return LogValue(_step_log(mpf(y.y), lam, mp.log(mpf(fam.C)), E, eps, fam.psi,
                                   _absorb_cap(prec)))
+
+
+def _eps_values(fam: PerturbedPowerFamily, z, prec: Precision):
+    """(E, eps, Lambda(eps)) from z = ln(-ln eps): E = exp(z) = -ln eps > 0 and
+    eps = exp(-E), at the caller's working precision."""
+    E = mp.exp(mpf(z))
+    eps = mp.exp(-E)
+    return E, eps, fam.exponent(eps, prec)
 
 
 def _step_log(y, lam, lnC, E, eps, psi, cap):
@@ -162,9 +168,7 @@ def envelope_profile(
             if not (0 < ev < mpf(x0)):
                 raise InvalidInputError(f"eps = {ev} outside (0, x0)")
             # eps -> z -> E -> eps' as apply_family_log takes it, once per eps
-            E = mp.exp(mpf(DoubleLogValue.from_eps(ev, prec).z))
-            eps_z = mp.exp(-E)
-            lam = fam.exponent(eps_z, prec)
+            E, eps_z, lam = _eps_values(fam, DoubleLogValue.from_eps(ev, prec).z, prec)
             llo, lhi = mp.log(ev / 2 if halved_domain else ev), mp.log(mpf(x0))
             khat = mpf(0)
             for j in range(x_count):

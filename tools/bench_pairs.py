@@ -1,15 +1,18 @@
 """Alternating parent/change runs of the perfbench end-to-end benchmark.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload W \
-        --seeds S [S ...] --pairs K [--seconds 20] --out FILE.json
+        --seeds S [S ...] --pairs K --out FILE.json
 
 DIR is the root of a source tree (src/, perfbench/, BENCHMARK.json).
-Pair i runs `python3 perfbench/run.py --workload W --seed S_i --trace 0`
-once in each tree, the parent first on even i and the change first on
+Pair i runs the change tree's BENCHMARK.json `command` with `--workload W
+--seed S_i --seconds T --trace 0`, T being its `run_seconds`, once in each
+tree, the parent first on even i and the change first on
 odd i, so a drift of the host's speed does not favour one side.  Seeds
 are taken in order and cycled if there are fewer than K.  Runs already
 in --out are kept, so one file can gather several workloads; the
-summary is recomputed over all of them.
+summary is recomputed over all of them.  A metric is marked unresolved
+when it has fewer than 3 pairs or when either side's quartile distance,
+over the parent's median, exceeds the metric's bound.
 """
 
 import argparse
@@ -22,9 +25,9 @@ import sys
 from pathlib import Path
 
 
-def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+def run_side(tree: Path, command, workload: str, seed: int, seconds: float) -> dict:
+    cmd = command + ["--workload", workload, "--seed", str(seed),
+                     "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     detail = next(json.loads(ln)["detail"] for ln in lines if ln.startswith('{"detail"'))
@@ -75,9 +78,11 @@ def summarize(runs, spec) -> dict:
                    for s in side}
             higher = m["better"] == "higher"
             p_med, c_med = statistics.median(val["parent"]), statistics.median(val["change"])
+            p_iqr, c_iqr = iqr(val["parent"]), iqr(val["change"])
             entry[name] = {
                 "parent_median": p_med, "change_median": c_med,
-                "parent_iqr": iqr(val["parent"]), "change_iqr": iqr(val["change"]),
+                "parent_iqr": p_iqr, "change_iqr": c_iqr,
+                "unresolved": pairs < 3 or max(p_iqr, c_iqr) / p_med > m["bound"],
                 "change_over_parent": c_med / p_med,
                 "change_wins": sum((c > p) if higher else (c < p)
                                    for p, c in zip(val["parent"], val["change"])),
@@ -93,32 +98,34 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {"runs": []}
     runs = doc["runs"]
     for i in range(args.pairs):
         seed = args.seeds[i % len(args.seeds)]
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            run = run_side(trees[side], args.workload, seed, args.seconds)
+            run = run_side(trees[side], spec["command"], args.workload, seed, seconds)
             run["side"] = side
             runs.append(run)
             metrics = run["result"]["metrics"]
             print(f"{args.workload} seed {seed} {side}: "
                   + ", ".join(f"{k} {v['value']:.4g}" for k, v in metrics.items()), flush=True)
-    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     doc.update({
-        "benchmark": "python3 perfbench/run.py --workload W --seed S "
-                     f"--seconds {args.seconds:g} --trace 0",
+        "benchmark": " ".join(spec["command"])
+                     + f" --workload W --seed S --seconds {seconds:g} --trace 0",
         "machine": machine(),
         "method": "alternating parent/change pairs, each side run from its own copy of the "
                   "source tree; even pairs run the parent first, odd pairs the change first; "
                   "parent_iqr and change_iqr are the distances between the quartiles of each "
-                  "side's runs; change_wins counts the pairs where the change is better",
+                  "side's runs; change_wins counts the pairs where the change is better; "
+                  "unresolved marks a metric with fewer than 3 pairs or with a quartile "
+                  "distance over the parent median above the metric's bound",
         "parent_commit": commit_of(trees["parent"]),
         "runs": runs,
         "summary": summarize(runs, spec),
